@@ -159,7 +159,8 @@ def verify_structural_identity(f: AnalyticFunction, mu: DiscreteMeasure,
     """
     fh = HarmonicMap.from_analytic(f)
     pts = grid.points()
-    # Tight inversion tolerance: its error is amplified by 1/(2*fd_step).
+    # Tight inversion bound |f(z) - w| <= 1e-14 * max(1, |w|): the error of
+    # the inverse is amplified by 1/(2*fd_step) in the difference quotient.
     f_inv = lambda w: invert(fh, w, tol=1e-14)
     upper = build_phi(f_inv, mu, params, f.eval(pts + fd_step))
     lower = build_phi(f_inv, mu, params, f.eval(pts - fd_step))
@@ -204,52 +205,75 @@ def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float,
 # ---------------------------------------------------------------------------
 # Numerical inversion of harmonic maps.
 
-def _newton_sweep(f: HarmonicMap, w, z, tol, max_iter, clamp):
-    """Damped Newton iterations from the given seeds; returns (z, residual)."""
+# Starting values: an origin plus _SEED_RINGS x _SEED_RAYS polar points.  Each
+# target starts from the point whose image lies nearest to it; the search runs
+# over blocks of at most _SEED_BLOCK targets so its memory stays bounded.
+_SEED_RINGS, _SEED_RAYS = 12, 32
+_SEED_BLOCK = 256
+
+
+def _clamped(z, clamp):
+    """Pull points with ``|z| > clamp`` radially back onto ``|z| = clamp``."""
+    mag = np.abs(z)
+    return np.where(mag > clamp, z * (clamp / np.maximum(mag, clamp)), z)
+
+
+def _newton_sweep(f: HarmonicMap, w, z, bound, max_iter, clamp):
+    """Damped Newton iterations from the given seeds; returns (z, residual).
+
+    Only targets whose residual still exceeds ``bound`` are iterated.
+    """
     z = z.copy()
-    res = np.abs(eval_map(f, z) - w)
+    r = w - eval_map(f, z)
+    res = np.abs(r)
     for _ in range(max_iter):
-        active = res > tol
-        if not np.any(active):
+        act = np.flatnonzero(res > bound)
+        if act.size == 0:
             break
-        hp = np.asarray(f.h.deriv(z), dtype=complex)
-        gp = np.asarray(f.g.deriv(z), dtype=complex)
+        za, wa, ra, resa = z[act], w[act], r[act], res[act]
+        hp = np.asarray(f.h.deriv(za), dtype=complex)
+        gp = np.asarray(f.g.deriv(za), dtype=complex)
         jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
-        r = w - (f.h.eval(z) + np.conj(f.g.eval(z)))
         safe = np.abs(jac) > 1e-300
-        step = np.zeros_like(z)
         # Solve f_z*dz + f_zbar*conj(dz) = r with f_z = h', f_zbar = conj(g').
-        step[safe] = (np.conj(hp[safe]) * r[safe] - np.conj(gp[safe]) * np.conj(r[safe])) / jac[safe]
-        step[~active | ~safe] = 0.0
+        step = np.where(safe, np.conj(hp) * ra - np.conj(gp) * np.conj(ra), 0.0) \
+            / np.where(safe, jac, 1.0)
         scale = np.ones_like(jac)
-        for _half in range(20):
-            cand = z + scale * step
-            big = np.abs(cand) > clamp
-            if np.any(big):
-                cand[big] *= clamp / np.abs(cand[big])
-            new_res = np.abs(f.h.eval(cand) + np.conj(f.g.eval(cand)) - w)
-            worse = active & (new_res > res)
-            if not np.any(worse):
-                z, res = cand, new_res
+        for _half in range(21):
+            cand = _clamped(za + scale * step, clamp)
+            new_r = wa - (f.h.eval(cand) + np.conj(f.g.eval(cand)))
+            new_res = np.abs(new_r)
+            worse = new_res > resa
+            if _half == 20 or not np.any(worse):
                 break
             scale[worse] /= 2.0
-        else:
-            cand = z + scale * step
-            big = np.abs(cand) > clamp
-            if np.any(big):
-                cand[big] *= clamp / np.abs(cand[big])
-            new_res = np.abs(f.h.eval(cand) + np.conj(f.g.eval(cand)) - w)
-            improved = new_res < res
-            z[improved], res[improved] = cand[improved], new_res[improved]
+        # Targets still worse after 20 halvings keep their current iterate.
+        keep = new_res <= resa
+        idx = act[keep]
+        z[idx], r[idx], res[idx] = cand[keep], new_r[keep], new_res[keep]
     return z, res
 
 
-def _fallback_seeds(f: HarmonicMap, radius):
-    """Coarse deterministic seed cloud used after Newton divergence."""
-    radii = radius * np.arange(1, 7) / 7.0
-    angles = 2.0 * np.pi * np.arange(16) / 16.0
+def _seed_cloud(f: HarmonicMap, radius):
+    """Deterministic polar seed cloud inside ``|z| <= radius`` and its image."""
+    radii = radius * np.arange(1, _SEED_RINGS + 1) / (_SEED_RINGS + 1.0)
+    angles = 2.0 * np.pi * np.arange(_SEED_RAYS) / _SEED_RAYS
     seeds = np.concatenate(([0.0 + 0.0j], np.outer(radii, np.exp(1j * angles)).ravel()))
-    return seeds
+    return seeds, eval_map(f, seeds)
+
+
+def _nearest_seeds(cloud, w):
+    """For each target, the cloud point whose image lies nearest to it."""
+    seeds, images = cloud
+    # |w - v|^2 = |w|^2 - (2 Re(w conj v) - |v|^2): the first term is the same
+    # for every seed, so the bracket, one real matrix product, ranks them.
+    basis = np.stack([2.0 * images.real, 2.0 * images.imag, -np.abs(images) ** 2])
+    targets = np.stack([w.real, w.imag, np.ones(w.size)], axis=1)
+    out = np.empty_like(w)
+    for lo in range(0, w.size, _SEED_BLOCK):
+        score = targets[lo:lo + _SEED_BLOCK] @ basis
+        out[lo:lo + _SEED_BLOCK] = seeds[np.argmax(score, axis=1)]
+    return out
 
 
 def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
@@ -258,9 +282,11 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
     The harmonic map is treated as two real unknowns; the update solves the
     linearized system through the Wirtinger differentials ``f_z = h'`` and
     ``f_zbar = conj(g')`` (plain complex Newton would be wrong for ``g != 0``).
-    Steps are halved while they increase the residual, iterates are clamped
-    inside the domain, and points that fail to converge are reseeded from a
-    coarse grid of starting values before giving up.
+    Steps are halved while they increase the residual, and iterates are
+    clamped inside the domain.  Without a ``seed``, each target starts from
+    the point of a fixed polar seed cloud whose image is nearest to it, so a
+    few steps usually suffice; with a ``seed``, targets that fail to converge
+    from it are retried from that cloud before giving up.
 
     Parameters
     ----------
@@ -269,38 +295,40 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
     w : complex scalar or ndarray
         Target value(s).
     seed : complex scalar or ndarray, optional
-        Starting point(s); defaults to the origin.
+        Starting point(s); seeds outside the domain are pulled back inside.
+        Defaults to the nearest point of the seed cloud.
     tol : float
-        Residual bound ``|f(z) - w| <= tol`` (default 1e-12).
+        Relative residual bound ``|f(z) - w| <= tol * max(1, |w|)``
+        (default 1e-12).  Scaling by the image size keeps the bound above
+        the rounding error of evaluating ``f`` where ``|w|`` is large.
 
     Raises
     ------
     InversionError
-        If some target still exceeds ``tol`` after the reseeded attempt.
+        If some target still exceeds its bound after the retry.
     """
     scalar = np.ndim(w) == 0
     wv = np.atleast_1d(np.asarray(w, dtype=complex)).ravel()
     clamp = f.domain_radius * (1.0 - 1e-9)
+    bound = tol * np.maximum(1.0, np.abs(wv))
     if seed is None:
-        z0 = np.zeros_like(wv)
+        z0 = _nearest_seeds(_seed_cloud(f, clamp), wv)
     else:
-        z0 = np.broadcast_to(np.asarray(seed, dtype=complex), wv.shape).astype(complex).copy()
-        z0[np.abs(z0) > clamp] *= clamp / np.abs(z0[np.abs(z0) > clamp])
-    z, res = _newton_sweep(f, wv, z0, tol, max_iter, clamp)
-    if np.any(res > tol):
-        seeds = _fallback_seeds(f, clamp)
-        fs = eval_map(f, seeds)
-        stuck = np.flatnonzero(res > tol)
-        best = seeds[np.argmin(np.abs(fs[None, :] - wv[stuck][:, None]), axis=1)]
-        z2, res2 = _newton_sweep(f, wv[stuck], best.astype(complex), tol, max_iter, clamp)
+        z0 = _clamped(np.broadcast_to(np.asarray(seed, dtype=complex), wv.shape), clamp)
+    z, res = _newton_sweep(f, wv, z0, bound, max_iter, clamp)
+    stuck = np.flatnonzero(res > bound)
+    if seed is not None and stuck.size:
+        z2, res2 = _newton_sweep(f, wv[stuck], _nearest_seeds(_seed_cloud(f, clamp), wv[stuck]),
+                                 bound[stuck], max_iter, clamp)
         better = res2 < res[stuck]
         z[stuck[better]] = z2[better]
         res[stuck[better]] = res2[better]
-    if np.any(res > tol):
-        k = int(np.argmax(res))
+    if np.any(res > bound):
+        k = int(np.argmax(res / bound))
         raise InversionError(
-            f"no convergence inverting '{f.label or 'map'}' at w = {wv[k]}",
-            w=complex(wv[k]), best_residual=float(np.max(res)),
+            f"no convergence inverting '{f.label or 'map'}' at w = {wv[k]}: "
+            f"residual {res[k]:.3g} exceeds {bound[k]:.3g}",
+            w=complex(wv[k]), best_residual=float(res[k]),
         )
     shaped = z.reshape(np.shape(w)) if not scalar else complex(z[0])
     return shaped
@@ -314,10 +342,20 @@ def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
         d(f^{-1})/dw       =  conj(h'(z)) / J_f(z)
         d(f^{-1})/d(conj w) = -conj(g'(z)) / J_f(z)
 
-    so composing back with ``f`` returns exactly (1, 0).
+    so composing back with ``f`` returns exactly (1, 0).  The bundle keeps
+    the latest target array and its preimage, so ``eval``, ``dw`` and
+    ``dwbar`` called on the same targets share one Newton solve.
     """
+    last = [None]  # (targets, preimages) of the latest solve
+
     def _z(w):
-        return invert(f, w, tol=tol)
+        key = np.asarray(w, dtype=complex)
+        hit = last[0]
+        if hit is not None and np.array_equal(hit[0], key):
+            return hit[1]
+        z = invert(f, w, tol=tol)
+        last[0] = (key.copy(), z)
+        return z
 
     def _dw(w, wbar):
         z = _z(w)
@@ -329,5 +367,9 @@ def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
         hp, gp = f.h.deriv(z), f.g.deriv(z)
         return -np.conj(gp) / (np.abs(hp) ** 2 - np.abs(gp) ** 2)
 
-    return WirtingerFunction(eval=lambda w, wbar: _z(w), dw=_dw, dwbar=_dwbar,
+    def _eval(w, wbar):
+        z = _z(w)
+        return z.copy() if isinstance(z, np.ndarray) else z
+
+    return WirtingerFunction(eval=_eval, dw=_dw, dwbar=_dwbar,
                              domain=f"image of |z| < {f.domain_radius:g}")

@@ -52,6 +52,17 @@ def test_check_theorem1_identity_holds(capsys):
     assert payload["invocation"]["n_epsilon"] == 64
 
 
+def test_check_theorem1_h1_inverse_converges_on_fine_grid(capsys):
+    # |h1| reaches ~2000 on this grid, where an absolute 1e-12 residual is
+    # below one ulp; the inverse must still converge everywhere.
+    payload = run_json(
+        capsys,
+        ["check", "--named", "h1", "--criterion", "theorem1",
+         "--n-radial", "160", "--n-angular", "384", "--r-max", "0.9"],
+        EXIT_HOLDS)
+    assert payload["margin"] >= math.pi / 2 - 1e-3
+
+
 def test_check_theorem1_linear_phi_vanishing_direction(capsys):
     # phi(w, wbar) = w + wbar on the identity: the epsilon = -1 direction
     # kills W entirely, which the scan must flag.
@@ -258,6 +269,15 @@ def test_herglotz_cayley_three_atoms(capsys):
     payload = run_json(
         capsys,
         ["herglotz", "--named", "cayley", "--measure", measure],
+        EXIT_HOLDS)
+    assert payload["max_identity_deviation"] <= 1e-5
+
+
+def test_herglotz_dilated_h1(capsys):
+    measure = json.dumps({"atoms": [[0.0, 0.5], [2.0, 0.3], [4.5, 0.2]]})
+    payload = run_json(
+        capsys,
+        ["herglotz", "--named", "h_r", "--param", "r=0.5", "--measure", measure],
         EXIT_HOLDS)
     assert payload["max_identity_deviation"] <= 1e-5
 

@@ -25,6 +25,7 @@ from harmonicmaps import (
     structural_phi_prime,
     verify_structural_identity,
 )
+from harmonicmaps import herglotz
 from harmonicmaps.errors import DomainError, SingularDerivativeError
 from harmonicmaps.mappings import analytic_wirtinger, composed_wirtinger, eval_map
 
@@ -275,7 +276,9 @@ def test_invert_worked_examples():
     ("h0", None, 0.9),
     ("f_k", {"k": 0.5}, 0.9),
     ("koebe", None, 0.7),
+    ("koebe", None, 0.95),
     ("h1", None, 0.9),
+    ("h1", None, 0.95),
 ])
 def test_invert_roundtrip(name, params, r):
     f = gallery_get(name, params)
@@ -299,6 +302,14 @@ def test_invert_accepts_seed_and_preserves_shape():
                     rtol=0, atol=1e-10)
 
 
+def test_invert_retries_stalled_seed_from_cloud():
+    # From 0.99i, Newton on the Koebe map stalls near z = -1, where the image
+    # runs off to infinity; the retry from the seed cloud still converges.
+    f = gallery_get("koebe")
+    w = complex(eval_map(f, 0.95 + 0.0j))
+    assert_allclose(invert(f, w, seed=0.99j), 0.95, rtol=0, atol=1e-10)
+
+
 def test_invert_unreachable_target_raises():
     f = gallery_get("identity")
     with pytest.raises(InversionError) as info:
@@ -313,6 +324,23 @@ def test_inverse_wirtinger_composes_to_one():
     rng = np.random.default_rng(3)
     z = 0.9 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
     psi_z, psi_zb = composed_wirtinger(f, inverse_wirtinger(f), z)
+    assert np.max(np.abs(psi_z - 1.0)) <= 1e-8
+    assert np.max(np.abs(psi_zb)) <= 1e-8
+
+
+def test_inverse_wirtinger_solves_once_per_composition(monkeypatch):
+    calls = []
+    real_invert = herglotz.invert
+
+    def counting_invert(*args, **kwargs):
+        calls.append(1)
+        return real_invert(*args, **kwargs)
+
+    monkeypatch.setattr(herglotz, "invert", counting_invert)
+    f = gallery_get("h1")
+    z = GridSpec(10, 24, 0.9).points()
+    psi_z, psi_zb = composed_wirtinger(f, inverse_wirtinger(f), z)
+    assert len(calls) == 1
     assert np.max(np.abs(psi_z - 1.0)) <= 1e-8
     assert np.max(np.abs(psi_zb)) <= 1e-8
 
