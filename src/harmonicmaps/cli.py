@@ -12,8 +12,7 @@ gallery-list list the named example maps
 Maps are selected with ``--named NAME [--param k=v ...]`` or a full
 ``--spec`` JSON (inline or @file).  Reports are UTF-8 JSON on stdout with
 sorted keys.  Exit codes: 0 the checked property holds on samples, 1 it is
-violated, 2 bad input or an inconclusive evaluation.  The environment
-variable HARMONIC_THREADS caps worker threads for pair scans.
+violated, 2 bad input or an inconclusive evaluation.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from . import jsonio
 from .construct import budget_audit, conjugate_z_perturbation, construct as build_map
 from .criteria import (
     VERDICT_HOLDS,
+    VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
     check_corollary1,
     check_philike,
@@ -169,12 +169,8 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(jsonio.dumps(payload) + "\n")
 
 
-def _report_exit(report) -> int:
-    if report.verdict == VERDICT_HOLDS:
-        return EXIT_HOLDS
-    if report.verdict == VERDICT_VIOLATED:
-        return EXIT_VIOLATED
-    return EXIT_INPUT
+def _verdict_exit(verdict) -> int:
+    return {VERDICT_HOLDS: EXIT_HOLDS, VERDICT_VIOLATED: EXIT_VIOLATED}.get(verdict, EXIT_INPUT)
 
 
 def _invocation(args, keys) -> dict:
@@ -212,25 +208,26 @@ def cmd_check(args) -> int:
         rho = min(args.rho, 0.99 * f.domain_radius)
         curve = curve_simplicity(f, rho=rho, n=max(64, args.n // 2))
         sub = [inj, jac, curve]
-        verdict = VERDICT_HOLDS if all(r.verdict == VERDICT_HOLDS for r in sub) \
-            else VERDICT_VIOLATED
+        verdict = min((r.verdict for r in sub),
+                      key=(VERDICT_VIOLATED, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index)
+        conclusive = [r.margin for r in sub if r.verdict != VERDICT_INCONCLUSIVE]
         payload = {
             "schema_version": jsonio.SCHEMA_VERSION,
             "criterion": "oracle",
             "verdict": verdict,
-            "margin": min(r.margin for r in sub),
+            "margin": float("nan") if verdict == VERDICT_INCONCLUSIVE else min(conclusive),
             "reports": [r.to_dict() for r in sub],
             "invocation": _invocation(args, ("named", "criterion", "n", "r_max",
                                              "tol", "rho")),
         }
         _emit(payload)
-        return EXIT_HOLDS if verdict == VERDICT_HOLDS else EXIT_VIOLATED
+        return _verdict_exit(verdict)
     payload = report.to_dict()
     payload["invocation"] = _invocation(
         args, ("named", "criterion", "n_radial", "n_angular", "r_max",
                "n_epsilon", "n_gamma", "phi", "G_named", "spiral_alpha"))
     _emit(payload)
-    return _report_exit(report)
+    return _verdict_exit(report.verdict)
 
 
 def cmd_bound(args) -> int:

@@ -77,12 +77,14 @@ def _verdict_from_margin(margin: float) -> str:
     return VERDICT_HOLDS if margin > 0.0 else VERDICT_VIOLATED
 
 
-def _finite_or_witness(values, pts):
-    """Index of the first non-finite entry, or None if all finite."""
+def _nonfinite_report(criterion, values, pts, grid):
+    """Inconclusive report at the first sample whose value is not finite, or None."""
     bad = ~np.isfinite(values)
-    if np.any(bad):
-        return int(np.argmax(bad))
-    return None
+    if not np.any(bad):
+        return None
+    return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
+                       witness=complex(pts[int(np.argmax(bad))]), grid=grid,
+                       meta={"failure": "non-finite evaluation"})
 
 
 def golden_section_max(fn, lo, hi, tol=1e-6):
@@ -151,12 +153,8 @@ def _composed_partials(f, phi, pts, criterion, grid):
     except Exception as exc:  # evaluation failure anywhere -> inconclusive
         return None, CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
                                  witness=None, grid=grid, meta={"failure": str(exc)})
-    bad = _finite_or_witness(psi_z + psi_zb, pts)
-    if bad is not None:
-        return None, CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
-                                 witness=complex(pts[bad]), grid=grid,
-                                 meta={"failure": "non-finite evaluation"})
-    return (psi_z, psi_zb), None
+    fail = _nonfinite_report(criterion, psi_z + psi_zb, pts, grid)
+    return ((psi_z, psi_zb) if fail is None else None), fail
 
 
 def check_corollary1(f: HarmonicMap, phi: WirtingerFunction,

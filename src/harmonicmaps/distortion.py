@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import VERDICT_HOLDS, VERDICT_VIOLATED, CheckReport
+from .criteria import VERDICT_HOLDS, VERDICT_VIOLATED, CheckReport, _nonfinite_report
 from .errors import DomainError
 from .mappings import HarmonicMap, eval_map
+from .oracle import _pair_min, _ratio
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,8 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
 
     with ``bound = (|h'(0)| - |g'(0)|) * C(r)``.  The verdict is
     holds-on-samples iff the margin is nonnegative (equality is allowed: the
-    underlying inequality is not strict).
+    underlying inequality is not strict), and inconclusive when the image of
+    a sample is not finite.
 
     Parameters
     ----------
@@ -167,17 +169,17 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
     if n < 8:
         raise ValueError("need at least 8 circle points")
     a = alpha.alpha if isinstance(alpha, OrderParam) else float(alpha)
+    grid = {"kind": "circle", "r": r, "n": n}
     pts = r * np.exp(2j * np.pi * np.arange(n) / n)
     vals = np.asarray(eval_map(f, pts), dtype=complex)
+    if (fail := _nonfinite_report("pairwise-bound", vals, pts, grid)) is not None:
+        return fail
     m0 = abs(complex(f.h.deriv(0j))) - abs(complex(f.g.deriv(0j)))
     bound = m0 * c_of_r(r, a)
-    iu, ju = np.triu_indices(n, k=1)
-    ratio = np.abs(vals[ju] - vals[iu]) / np.abs(pts[ju] - pts[iu])
-    k = int(np.argmin(ratio))
-    margin = float(ratio[k] - bound)
+    ratio, i, j = _pair_min(n, _ratio(vals, pts))
+    margin = ratio - bound
     verdict = VERDICT_HOLDS if margin >= 0.0 else VERDICT_VIOLATED
     return CheckReport("pairwise-bound", verdict, margin,
-                       witness=complex(pts[iu[k]]),
-                       grid={"kind": "circle", "r": r, "n": n},
+                       witness=complex(pts[i]), grid=grid,
                        meta={"bound": bound, "alpha": a, "m_0": m0,
-                             "worst_pair": [int(iu[k]), int(ju[k])]})
+                             "worst_pair": [i, j]})

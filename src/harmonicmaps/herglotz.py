@@ -304,11 +304,15 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
 
     Raises
     ------
+    DomainError
+        If a target is not finite.
     InversionError
         If some target still exceeds its bound after the retry.
     """
     scalar = np.ndim(w) == 0
     wv = np.atleast_1d(np.asarray(w, dtype=complex)).ravel()
+    if not np.all(np.isfinite(wv)):
+        raise DomainError(f"cannot invert at non-finite target w = {wv[~np.isfinite(wv)][0]}")
     clamp = f.domain_radius * (1.0 - 1e-9)
     bound = tol * np.maximum(1.0, np.abs(wv))
     if seed is None:

@@ -11,15 +11,12 @@ oracles attack the conclusion directly at fixed resolution:
   number of the image curve about its centroid).
 
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
-scans split across threads when the HARMONIC_THREADS environment variable
-asks for it; reductions are by (value, index) so the report is identical
-however the pair space was partitioned.
+scans (and :func:`distortion.check_pairwise_bound`) share one blocked
+pair-minimum kernel with a fixed memory ceiling; it breaks ties on
+(value, i, j), so the report does not depend on how the pairs were blocked.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +24,7 @@ from .criteria import (
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     CheckReport,
+    _nonfinite_report,
     _verdict_from_margin,
 )
 from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
@@ -34,16 +32,8 @@ from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
 # Collinearity slack for the normalized orientation predicate.
 ORIENT_SLACK = 1e-12
 
-
-def worker_count() -> int:
-    """Worker cap from HARMONIC_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("HARMONIC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Pairs per block of the pair-minimum kernel (one whole row when a row is longer).
+PAIR_BLOCK = 2 ** 15
 
 
 def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
@@ -60,22 +50,37 @@ def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _pair_chunk_min(vals, pts, rows):
-    """Worst separation ratio of pairs (i, j>i) for i in ``rows``.
+def _pair_min(m, pair_value, gap=1):
+    """Least ``pair_value(i, j)`` over ``i + gap <= j < m``, as ``(value, i, j)``.
 
-    Returns (ratio, i, j); ties are impossible to matter because the caller
-    breaks them on (ratio, i, j) order.
+    Blocks of whole rows hold at most about PAIR_BLOCK pairs, so memory stays
+    bounded at any m.  ``pair_value`` gets index arrays ``i`` of shape (rows, 1)
+    and ``j`` of shape (1, cols) and must not return NaN on pairs in range;
+    the pairs of a block with ``j < i + gap`` are dropped whatever it returns.
+    Ties go to the lowest (i, j).
     """
     best = (np.inf, -1, -1)
-    for i in rows:
-        dz = np.abs(pts[i + 1:] - pts[i])
-        df = np.abs(vals[i + 1:] - vals[i])
-        ratio = df / dz
-        j = int(np.argmin(ratio))
-        cand = (float(ratio[j]), i, i + 1 + j)
-        if cand < best:
-            best = cand
+    i0 = 0
+    while i0 + gap < m:
+        cols = m - i0 - gap
+        rows = max(1, min(cols, PAIR_BLOCK // cols))
+        i = np.arange(i0, i0 + rows)[:, None]
+        j = np.arange(i0 + gap, m)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.asarray(pair_value(i, j), dtype=float)
+        # Column c of row r is the pair (i0 + r, i0 + gap + c): out of range iff c < r.
+        v[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        k = int(np.argmin(v))
+        r, c = divmod(k, cols)
+        if v[r, c] < best[0]:
+            best = (float(v[r, c]), i0 + r, i0 + gap + c)
+        i0 += rows
     return best
+
+
+def _ratio(vals, pts):
+    """Pair value ``|f(z_j) - f(z_i)| / |z_j - z_i|`` for :func:`_pair_min`."""
+    return lambda i, j: np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
 
 
 def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
@@ -84,7 +89,8 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
 
     The margin is the worst ratio ``|f(z_i)-f(z_j)| / |z_i-z_j|`` over all
     pairs; the verdict is violated iff that ratio drops to ``tol`` or below
-    (two sample points essentially sharing an image).
+    (two sample points essentially sharing an image), and inconclusive when
+    the image of a sample is not finite.
 
     Parameters
     ----------
@@ -96,8 +102,8 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     tol : float
         Collision threshold on the ratio (default 1e-6).
     points : ndarray of complex, optional
-        Explicit sample locations overriding the sunflower layout (used to
-        place known-colliding pairs exactly).
+        Explicit, distinct sample locations overriding the sunflower layout
+        (used to place known-colliding pairs exactly).
     """
     if points is None:
         if n_points < 50:
@@ -108,23 +114,17 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size < 2:
             raise ValueError("need at least two sample points")
+        if np.unique(pts).size < pts.size:
+            raise ValueError("explicit sample points must be distinct")
         layout = {"kind": "explicit", "n": int(pts.size)}
     vals = np.asarray(eval_map(f, pts), dtype=complex)
-    workers = worker_count()
-    rows = range(pts.size - 1)
-    if workers == 1:
-        best = _pair_chunk_min(vals, pts, rows)
-    else:
-        chunks = np.array_split(np.asarray(rows), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _pair_chunk_min(vals, pts, c), chunks))
-        best = min(results)
-    ratio, i, j = best
+    if (fail := _nonfinite_report("injectivity", vals, pts, layout)) is not None:
+        return fail
+    ratio, i, j = _pair_min(pts.size, _ratio(vals, pts))
     verdict = VERDICT_HOLDS if ratio > tol else VERDICT_VIOLATED
-    return CheckReport("injectivity", verdict, float(ratio),
+    return CheckReport("injectivity", verdict, ratio,
                        witness=complex(pts[i]), grid=layout,
-                       meta={"tol": float(tol), "worst_pair": [int(i), int(j)],
-                             "workers": workers})
+                       meta={"tol": float(tol), "worst_pair": [i, j]})
 
 
 def jacobian_positivity_scan(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID) -> CheckReport:
@@ -153,12 +153,17 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     ~0 (touching or collinear overlap) makes the verdict violated.  The
     margin is the minimum distance between non-adjacent segments (0 when they
     intersect), and the winding number of the polyline about its centroid is
-    reported alongside (1 for a simple positively-oriented image).
+    reported alongside (1 for a simple positively-oriented image).  A
+    polyline of fewer than four vertices is degenerate (violated), and a
+    non-finite image makes the verdict inconclusive.
     """
     if n < 64:
         raise ValueError("need at least 64 circle points")
+    grid = {"kind": "circle", "rho": float(rho), "n": int(n)}
     circle = rho * np.exp(2j * np.pi * np.arange(n) / n)
     vals = np.asarray(eval_map(f, circle), dtype=complex)
+    if (fail := _nonfinite_report("curve-simplicity", vals, circle, grid)) is not None:
+        return fail
     scale = float(np.max(np.abs(vals - np.mean(vals))))
     keep = np.ones(n, dtype=bool)
     keep[1:] = np.abs(np.diff(vals)) > 1e-15 * max(scale, 1.0)
@@ -167,43 +172,36 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     p = vals[keep]
     zsrc = circle[keep]
     m = p.size
-    if m < 3:
+    # Below four segments the only non-adjacent pair, if any, is the wrap pair.
+    if m < 4:
         return CheckReport("curve-simplicity", VERDICT_VIOLATED, 0.0,
-                           witness=complex(circle[0]),
-                           grid={"kind": "circle", "rho": float(rho), "n": int(n)},
+                           witness=complex(circle[0]), grid=grid,
                            meta={"failure": "image polyline degenerate"})
     a, b = p, np.roll(p, -1)
-    iu, ju = np.triu_indices(m, k=2)
-    wrap_adjacent = (iu == 0) & (ju == m - 1)
-    iu, ju = iu[~wrap_adjacent], ju[~wrap_adjacent]
-    a1, b1, a2, b2 = a[iu], b[iu], a[ju], b[ju]
 
     def orient(u, v, w):
-        """Normalized orientation of w relative to segment u->v, in [-1, 1]."""
+        """Sign of the normalized orientation of w relative to segment u->v."""
         s = v - u
         t = w - u
-        denom = np.maximum(np.abs(s) * np.abs(t), 1e-300)
-        return np.imag(np.conj(s) * t) / denom
+        d = np.imag(np.conj(s) * t) / np.maximum(np.abs(s) * np.abs(t), 1e-300)
+        return np.where(np.abs(d) <= ORIENT_SLACK, 0.0, np.sign(d))
 
-    d1 = orient(a1, b1, a2)
-    d2 = orient(a1, b1, b2)
-    d3 = orient(a2, b2, a1)
-    d4 = orient(a2, b2, b1)
-    s1 = np.where(np.abs(d1) <= ORIENT_SLACK, 0.0, np.sign(d1))
-    s2 = np.where(np.abs(d2) <= ORIENT_SLACK, 0.0, np.sign(d2))
-    s3 = np.where(np.abs(d3) <= ORIENT_SLACK, 0.0, np.sign(d3))
-    s4 = np.where(np.abs(d4) <= ORIENT_SLACK, 0.0, np.sign(d4))
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    dist = np.minimum.reduce([
-        _point_segment_distance(a2, a1, b1),
-        _point_segment_distance(b2, a1, b1),
-        _point_segment_distance(a1, a2, b2),
-        _point_segment_distance(b1, a2, b2),
-    ])
-    dist = np.where(proper, 0.0, dist)
-    k = int(np.argmin(dist))
-    margin = float(dist[k])
-    crossing = bool(proper[k]) or margin <= ORIENT_SLACK * max(scale, 1.0)
+    def separation(i, j):
+        """Distance between segments i and j; 0 for a proper crossing."""
+        a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
+        proper = ((orient(a1, b1, a2) * orient(a1, b1, b2) < 0)
+                  & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0))
+        dist = np.minimum.reduce([
+            _point_segment_distance(a2, a1, b1),
+            _point_segment_distance(b2, a1, b1),
+            _point_segment_distance(a1, a2, b2),
+            _point_segment_distance(b1, a2, b2),
+        ])
+        wrap_adjacent = (i == 0) & (j == m - 1)
+        return np.where(wrap_adjacent, np.inf, np.where(proper, 0.0, dist))
+
+    margin, i, j = _pair_min(m, separation, gap=2)
+    crossing = margin <= ORIENT_SLACK * max(scale, 1.0)
     # Winding of the polyline about its centroid.
     rel = p - np.mean(p)
     dang = np.angle(np.roll(rel, -1) / rel)
@@ -211,8 +209,7 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     verdict = VERDICT_VIOLATED if crossing else VERDICT_HOLDS
     return CheckReport("curve-simplicity", verdict,
                        0.0 if crossing else margin,
-                       witness=complex(zsrc[iu[k]]),
-                       grid={"kind": "circle", "rho": float(rho), "n": int(n)},
+                       witness=complex(zsrc[i]), grid=grid,
                        meta={"winding": winding,
                              "segments": int(m),
-                             "worst_pair": [int(iu[k]), int(ju[k])]})
+                             "worst_pair": [i, j]})

@@ -9,9 +9,12 @@ inconclusive.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from harmonicmaps import HarmonicMap, cli, sunflower_points
 from harmonicmaps.cli import EXIT_HOLDS, EXIT_INPUT, EXIT_VIOLATED, main
+from harmonicmaps.mappings import AnalyticFunction
 
 H0_SAFE_BUDGET = 0.99 * 0.5 * (80.0 / 2916.0)
 H0_RAW_BUDGET = 0.5 * (80.0 / 2916.0)
@@ -141,6 +144,30 @@ def test_check_oracle_flags_noninjective_series(capsys):
         EXIT_VIOLATED)
     assert payload["verdict"] == "violated"
     assert payload["margin"] < 1e-6
+
+
+def test_check_oracle_nonfinite_image_is_inconclusive(capsys, monkeypatch):
+    # z/(z - pole) is univalent, but its pole sits on the first injectivity
+    # sample: that scan is inconclusive and no scan is violated.
+    pole = complex(sunflower_points(100, 0.9)[0])
+
+    def ev(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return z / (z - pole)
+
+    f = HarmonicMap.from_analytic(AnalyticFunction(
+        eval=ev, deriv=lambda z: -pole / (np.asarray(z) - pole) ** 2))
+    monkeypatch.setattr(cli, "_map_from_args", lambda args: f)
+    payload = run_json(
+        capsys,
+        ["check", "--named", "identity", "--criterion", "oracle",
+         "--n", "100", "--r-max", "0.9"],
+        EXIT_INPUT)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["margin"] is None
+    verdicts = [r["verdict"] for r in payload["reports"]]
+    assert verdicts == ["inconclusive", "holds-on-samples", "holds-on-samples"]
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,13 @@ def test_invert_unreachable_target_raises():
     assert err.best_residual == pytest.approx(4.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("w", [np.inf, np.nan, complex(0.1, np.inf)])
+def test_invert_rejects_nonfinite_target(w):
+    with pytest.raises(DomainError) as info:
+        invert(gallery_get("identity"), np.array([0.1, w, 0.2]))
+    assert str(complex(w)) in str(info.value)
+
+
 def test_inverse_wirtinger_composes_to_one():
     f = gallery_get("f_k", {"k": 0.5})
     rng = np.random.default_rng(3)
