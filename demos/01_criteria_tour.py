@@ -60,8 +60,6 @@ print(f"  epsilon sweep  {rep.verdict:<18} margin {rep.margin:+.4f} "
 print()
 print("ratio test on analytic maps")
 koebe = gallery.get("koebe")
-identity = AnalyticFunction(eval=lambda w: np.asarray(w, dtype=complex),
-                            deriv=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
-                            description="w")
+identity = AnalyticFunction(eval=lambda w: w, deriv=np.ones_like, description="w")
 rep = check_philike(koebe.h, identity, grid)
 print(f"  koebe          {rep.verdict:<18} margin {rep.margin:+.4f}")

@@ -36,9 +36,8 @@ from .criteria import (
     check_theoremB,
 )
 from .errors import HarmonicMapsError
-from .gallery import list_entries
+from .gallery import get as gallery_get, list_entries
 from .herglotz import (
-    DiscreteMeasure,
     build_phi,
     inverse_wirtinger,
     invert,
@@ -48,7 +47,6 @@ from .mappings import (
     AnalyticFunction,
     GridSpec,
     HarmonicMap,
-    DEFAULT_GRID,
     from_series,
     linear_wirtinger,
 )
@@ -105,9 +103,7 @@ def _map_from_args(args) -> HarmonicMap:
             raise _CliError(str(exc)) from exc
     if getattr(args, "named", None):
         try:
-            from .gallery import get
-
-            return get(args.named, _parse_params(args.param))
+            return gallery_get(args.named, _parse_params(args.param))
         except HarmonicMapsError as exc:
             raise _CliError(str(exc)) from exc
     raise _CliError("select a map with --named or --spec")
@@ -149,20 +145,12 @@ def _phi_from_args(args, f: HarmonicMap):
 def _perturbation_from_args(args):
     if args.pert == "conj":
         return conjugate_z_perturbation()
-    spec = _load_json_arg(args.pert_spec or "", "perturbation spec") \
-        if args.pert_spec else None
-    if spec is None:
+    if not args.pert_spec:
         raise _CliError("--pert series needs --pert-spec JSON")
-    from .construct import Perturbation
-    from .mappings import constant_function
-
-    p_coeffs = [jsonio.pair_to_complex(c) for c in spec.get("p", [])]
-    q_coeffs = [jsonio.pair_to_complex(c) for c in spec.get("q", [])]
-    p = from_series(p_coeffs) if p_coeffs else constant_function(0.0, "0")
-    q = from_series(q_coeffs) if q_coeffs else constant_function(0.0, "0")
-    a_closed = spec.get("A")
-    return Perturbation(p=p, q=q,
-                        A_closed_form=None if a_closed is None else float(a_closed))
+    try:
+        return jsonio.perturbation_from_spec(_load_json_arg(args.pert_spec, "perturbation spec"))
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _emit(payload: dict) -> None:
@@ -188,19 +176,12 @@ def cmd_check(args) -> int:
     elif args.criterion == "theoremA":
         report = check_theoremA(f, grid, n_gamma=args.n_gamma)
     elif args.criterion == "theoremB":
-        from .gallery import get
-
-        G = _analytic_part(get(args.G_named), f"comparison map {args.G_named!r}")
+        G = _analytic_part(gallery_get(args.G_named), f"comparison map {args.G_named!r}")
         report = check_theoremB(f, G, grid, n_gamma=args.n_gamma)
     elif args.criterion == "philike":
         fn = _analytic_part(f, "the ratio test")
         alpha = float(args.spiral_alpha)
-        rot = np.exp(1j * alpha)
-        Phi = AnalyticFunction(eval=lambda w: rot * np.asarray(w, dtype=complex)
-                               if np.ndim(w) else rot * w,
-                               deriv=lambda w: np.full_like(np.asarray(w, dtype=complex), rot)
-                               if np.ndim(w) else rot,
-                               description=f"e^(i*{alpha:g})*w")
+        Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
         report = check_philike(fn, Phi, grid)
     else:  # oracle
         inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
@@ -311,7 +292,7 @@ def cmd_herglotz(args) -> int:
         "max_identity_deviation": deviation,
         "tolerance": HERGLOTZ_TOL,
         "phi_samples": [{"w": jsonio.complex_to_pair(w), "phi": jsonio.complex_to_pair(p)}
-                        for w, p in zip(np.atleast_1d(sample_w), np.atleast_1d(phi_vals))],
+                        for w, p in zip(sample_w, phi_vals)],
         "measure": mu.to_dict(),
         "params": {"c": params.c, "c1": params.c1,
                    "c0": jsonio.complex_to_pair(params.c0)},

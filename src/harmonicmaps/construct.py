@@ -265,12 +265,10 @@ def _scaled_part(fn: AnalyticFunction, r: float, pert: AnalyticFunction,
                  pert.domain_radius)
 
     def _eval(z):
-        return fn.eval(r * np.asarray(z, dtype=complex) if np.ndim(z) else r * z) \
-            + epsilon * pert.eval(z)
+        return fn.eval(r * z) + epsilon * pert.eval(z)
 
     def _deriv(z):
-        return r * fn.deriv(r * np.asarray(z, dtype=complex) if np.ndim(z) else r * z) \
-            + epsilon * pert.deriv(z)
+        return r * fn.deriv(r * z) + epsilon * pert.deriv(z)
 
     return AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=radius,
                             description=label)
@@ -364,10 +362,10 @@ def normalize(f: HarmonicMap):
     SingularDerivativeError-like ValueError when ``h'(0) = 0``;
     DomainError when ``|g'(0)| >= |h'(0)|`` (not sense-preserving at 0).
     """
-    h0 = complex(f.h.eval(0j))
-    g0 = complex(f.g.eval(0j))
-    hp0 = complex(f.h.deriv(0j))
-    gp0 = complex(f.g.deriv(0j))
+    h0 = f.h.eval(0j)
+    g0 = f.g.eval(0j)
+    hp0 = f.h.deriv(0j)
+    gp0 = f.g.deriv(0j)
     if abs(hp0) <= 1e-14:
         raise InapplicableError("h'(0) = 0; no affine renormalization exists")
     if abs(gp0) >= abs(hp0):

@@ -148,8 +148,6 @@ def _composed_partials(f, phi, pts, criterion, grid):
     """Evaluate (Psi_z, Psi_zbar) on the grid, or an inconclusive report."""
     try:
         psi_z, psi_zb = composed_wirtinger(f, phi, pts)
-        psi_z = np.asarray(psi_z, dtype=complex)
-        psi_zb = np.asarray(psi_zb, dtype=complex)
     except Exception as exc:  # evaluation failure anywhere -> inconclusive
         return None, CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
                                  witness=None, grid=grid, meta={"failure": str(exc)})
@@ -231,28 +229,46 @@ def _best_rotation(slack_of_gamma, n_gamma, tol=1e-6):
     return _wrap_angle(gamma), margin
 
 
+def _rotation_search(criterion, f, G, grid, n_gamma, meta):
+    """Best rotation gamma for ``Re(e^{i gamma} h'/G') > |g'/G'|`` on the grid.
+
+    Without a comparison map ``G``, ``G' = 1`` and nothing is divided.
+    """
+    if n_gamma < 8:
+        raise ValueError("need at least 8 rotation candidates")
+    pts = grid.points()
+    hp, gp = f.h.deriv(pts), f.g.deriv(pts)
+    if G is not None:
+        Gp = G.deriv(pts)
+        kz = int(np.argmin(np.abs(Gp)))
+        if np.abs(Gp[kz]) <= SINGULAR_TOL:
+            return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
+                               witness=complex(pts[kz]), grid=grid,
+                               meta={"failure": "G' vanishes at a sample", **meta})
+        hp, gp = hp / Gp, gp / Gp
+    gp_abs = np.abs(gp)
+    if (fail := _nonfinite_report(criterion, hp + gp_abs, pts, grid)) is not None:
+        return fail
+
+    def slack(gamma):
+        return np.real(np.exp(1j * gamma) * hp) - gp_abs
+
+    gamma, margin = _best_rotation(lambda g: float(np.min(slack(g))), n_gamma)
+    k = int(np.argmin(slack(gamma)))
+    return CheckReport(criterion, _verdict_from_margin(margin), margin,
+                       witness=complex(pts[k]), gamma=gamma, grid=grid,
+                       meta={"n_gamma": n_gamma, **meta})
+
+
 def check_theoremA(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID,
                    n_gamma: int = DEFAULT_N_GAMMA) -> CheckReport:
     """Search a rotation gamma with ``Re(e^{i gamma} h'(z)) > |g'(z)|`` on samples.
 
     The margin reported is ``max_gamma min_z`` of the slack; the maximizing
-    gamma is recorded.  A negative margin means no rotation works on this grid.
+    gamma is recorded.  A negative margin means no rotation works on this
+    grid, and a non-finite derivative makes the scan inconclusive.
     """
-    if n_gamma < 8:
-        raise ValueError("need at least 8 rotation candidates")
-    pts = grid.points()
-    hp = np.asarray(f.h.deriv(pts), dtype=complex)
-    gp_abs = np.abs(np.asarray(f.g.deriv(pts), dtype=complex))
-
-    def slack(gamma):
-        return float(np.min(np.real(np.exp(1j * gamma) * hp) - gp_abs))
-
-    gamma, margin = _best_rotation(slack, n_gamma)
-    per_point = np.real(np.exp(1j * gamma) * hp) - gp_abs
-    k = int(np.argmin(per_point))
-    return CheckReport("theoremA", _verdict_from_margin(margin), margin,
-                       witness=complex(pts[k]), gamma=gamma, grid=grid,
-                       meta={"n_gamma": n_gamma})
+    return _rotation_search("theoremA", f, None, grid, n_gamma, {})
 
 
 def check_theoremB(f: HarmonicMap, G: AnalyticFunction,
@@ -264,28 +280,7 @@ def check_theoremB(f: HarmonicMap, G: AnalyticFunction,
     assumption in the report, not checked.  Vanishing ``G'`` at a sample
     makes the scan inconclusive.
     """
-    if n_gamma < 8:
-        raise ValueError("need at least 8 rotation candidates")
-    pts = grid.points()
-    Gp = np.asarray(G.deriv(pts), dtype=complex)
-    kz = int(np.argmin(np.abs(Gp)))
-    if np.abs(Gp[kz]) <= SINGULAR_TOL:
-        return CheckReport("theoremB", VERDICT_INCONCLUSIVE, float("nan"),
-                           witness=complex(pts[kz]), grid=grid,
-                           meta={"failure": "G' vanishes at a sample",
-                                 "assumes_G_convex": True})
-    hp = np.asarray(f.h.deriv(pts), dtype=complex) / Gp
-    gp_abs = np.abs(np.asarray(f.g.deriv(pts), dtype=complex) / Gp)
-
-    def slack(gamma):
-        return float(np.min(np.real(np.exp(1j * gamma) * hp) - gp_abs))
-
-    gamma, margin = _best_rotation(slack, n_gamma)
-    per_point = np.real(np.exp(1j * gamma) * hp) - gp_abs
-    k = int(np.argmin(per_point))
-    return CheckReport("theoremB", _verdict_from_margin(margin), margin,
-                       witness=complex(pts[k]), gamma=gamma, grid=grid,
-                       meta={"n_gamma": n_gamma, "assumes_G_convex": True})
+    return _rotation_search("theoremB", f, G, grid, n_gamma, {"assumes_G_convex": True})
 
 
 def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
@@ -294,19 +289,21 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
 
     At the origin the ratio is taken as ``f'(0)/Phi'(0)``.  A (numerical)
     zero of ``Phi(f(z))`` away from the origin is reported as violated with
-    that witness.
+    that witness; a non-finite ratio makes the scan inconclusive.
     """
     pts = grid.points()
     z = pts[1:]  # grid puts the origin first
-    denom = np.asarray(Phi.eval(f.eval(z)), dtype=complex)
+    denom = Phi.eval(f.eval(z))
     kz = int(np.argmin(np.abs(denom)))
     if np.abs(denom[kz]) <= SINGULAR_TOL:
         return CheckReport("philike", VERDICT_VIOLATED, 0.0,
                            witness=complex(z[kz]), grid=grid,
                            meta={"failure": "Phi(f(z)) vanishes"})
-    ratio = np.real(z * np.asarray(f.deriv(z), dtype=complex) / denom)
-    origin = np.real(complex(f.deriv(0j)) / complex(Phi.deriv(0j)))
+    ratio = np.real(z * f.deriv(z) / denom)
+    origin = np.real(f.deriv(0j) / Phi.deriv(0j))
     values = np.concatenate(([origin], ratio))
+    if (fail := _nonfinite_report("philike", values, pts, grid)) is not None:
+        return fail
     k = int(np.argmin(values))
     return CheckReport("philike", _verdict_from_margin(float(values[k])),
                        float(values[k]), witness=complex(pts[k]), grid=grid)

@@ -171,10 +171,10 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
     a = alpha.alpha if isinstance(alpha, OrderParam) else float(alpha)
     grid = {"kind": "circle", "r": r, "n": n}
     pts = r * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = np.asarray(eval_map(f, pts), dtype=complex)
+    vals = eval_map(f, pts)
     if (fail := _nonfinite_report("pairwise-bound", vals, pts, grid)) is not None:
         return fail
-    m0 = abs(complex(f.h.deriv(0j))) - abs(complex(f.g.deriv(0j)))
+    m0 = abs(f.h.deriv(0j)) - abs(f.g.deriv(0j))
     bound = m0 * c_of_r(r, a)
     ratio, i, j = _pair_min(n, _ratio(vals, pts))
     margin = ratio - bound

@@ -28,7 +28,6 @@ from .errors import GalleryLookupError
 from .mappings import (
     AnalyticFunction,
     HarmonicMap,
-    constant_function,
     derivative_consistency,
     from_series,
     identity_function,
@@ -109,8 +108,7 @@ def _h1_parts(z):
     inner_arg = 3 - 8z/(1+z)^2, s = sqrt(inner_arg), t = 1 - 2/(1+s),
     g = sqrt(t); both roots principal.  h1 = ((1+g)/(1-g))^2.
     """
-    zc = np.asarray(z, dtype=complex)
-    inner = 3.0 - 8.0 * zc / (1.0 + zc) ** 2
+    inner = 3.0 - 8.0 * z / (1.0 + z) ** 2
     s = np.sqrt(inner)
     t = 1.0 - 2.0 / (1.0 + s)
     g = np.sqrt(t)
@@ -119,19 +117,16 @@ def _h1_parts(z):
 
 def _h1_eval(z):
     _, _, _, g = _h1_parts(z)
-    out = ((1.0 + g) / (1.0 - g)) ** 2
-    return out if np.ndim(z) else complex(out)
+    return ((1.0 + g) / (1.0 - g)) ** 2
 
 
 def _h1_deriv(z):
-    zc = np.asarray(z, dtype=complex)
-    _, s, _, g = _h1_parts(zc)
-    du = 8.0 * (1.0 - zc) / (1.0 + zc) ** 3
+    _, s, _, g = _h1_parts(z)
+    du = 8.0 * (1.0 - z) / (1.0 + z) ** 3
     ds = -du / (2.0 * s)
     dt = 2.0 * ds / (1.0 + s) ** 2
     dg = dt / (2.0 * g)
-    out = 4.0 * (1.0 + g) / (1.0 - g) ** 3 * dg
-    return out if np.ndim(z) else complex(out)
+    return 4.0 * (1.0 + g) / (1.0 - g) ** 3 * dg
 
 
 def _assert_off_cut(values, what):
@@ -173,10 +168,10 @@ def _h_r_function(r: float) -> AnalyticFunction:
     base = _h1_function()
 
     def _eval(z):
-        return base.eval(r * np.asarray(z, dtype=complex) if np.ndim(z) else r * z)
+        return base.eval(r * z)
 
     def _deriv(z):
-        return r * base.deriv(r * np.asarray(z, dtype=complex) if np.ndim(z) else r * z)
+        return r * base.deriv(r * z)
 
     return AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=1.0,
                             description=f"h1({r:g}z)")

@@ -196,7 +196,7 @@ def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float,
         return build_big_phi(f, phi_prime, gamma, w)
 
     def deriv(w):
-        return (value(np.asarray(w) + fd_step) - value(np.asarray(w) - fd_step)) / (2.0 * fd_step)
+        return (value(w + fd_step) - value(w - fd_step)) / (2.0 * fd_step)
 
     return AnalyticFunction(eval=value, deriv=deriv,
                             description=f"{f.description or 'f'}-associated ratio target")
@@ -231,8 +231,8 @@ def _newton_sweep(f: HarmonicMap, w, z, bound, max_iter, clamp):
         if act.size == 0:
             break
         za, wa, ra, resa = z[act], w[act], r[act], res[act]
-        hp = np.asarray(f.h.deriv(za), dtype=complex)
-        gp = np.asarray(f.g.deriv(za), dtype=complex)
+        hp = f.h.deriv(za)
+        gp = f.g.deriv(za)
         jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
         safe = np.abs(jac) > 1e-300
         # Solve f_z*dz + f_zbar*conj(dz) = r with f_z = h', f_zbar = conj(g').
@@ -353,12 +353,11 @@ def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
     last = [None]  # (targets, preimages) of the latest solve
 
     def _z(w):
-        key = np.asarray(w, dtype=complex)
         hit = last[0]
-        if hit is not None and np.array_equal(hit[0], key):
+        if hit is not None and np.array_equal(hit[0], w):
             return hit[1]
         z = invert(f, w, tol=tol)
-        last[0] = (key.copy(), z)
+        last[0] = (w.copy(), z)
         return z
 
     def _dw(w, wbar):
@@ -372,8 +371,7 @@ def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
         return -np.conj(gp) / (np.abs(hp) ** 2 - np.abs(gp) ** 2)
 
     def _eval(w, wbar):
-        z = _z(w)
-        return z.copy() if isinstance(z, np.ndarray) else z
+        return np.array(_z(w))
 
     return WirtingerFunction(eval=_eval, dw=_dw, dwbar=_dwbar,
                              domain=f"image of |z| < {f.domain_radius:g}")

@@ -6,6 +6,8 @@ Wire conventions, shared by the CLI and by anything persisting reports:
 * function specs are ``{"type": "named", "name": ..., "params": {...}}`` or
   ``{"type": "series", "h": [c1, c2, ...], "g": [d1, ...], "radius": r}``
   (series coefficients start at z^1; either part may be omitted or empty);
+* perturbation specs are ``{"p": [...], "q": [...], "A": sup}``, with series
+  parts as above and an optional closed-form sup of ``|p'| + |q'|``;
 * measures are ``{"atoms": [[theta, weight], ...]}``;
 * structural parameters are ``{"c": ..., "c1": ..., "c0": [re, im]}``;
 * reports carry a ``schema_version`` so downstream parsers can pin layout.
@@ -20,6 +22,7 @@ import math
 
 import numpy as np
 
+from .construct import Perturbation
 from .gallery import get as gallery_get
 from .herglotz import DiscreteMeasure, StructuralParams
 from .mappings import GridSpec, HarmonicMap, constant_function, from_series
@@ -33,12 +36,14 @@ def complex_to_pair(z) -> list:
 
 
 def pair_to_complex(v) -> complex:
-    """Accept ``[re, im]`` or a bare real number."""
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ValueError(f"complex values serialize as [re, im], got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
+    """Accept ``[re, im]`` or a bare real number; ValueError for anything else."""
+    re_im = v if isinstance(v, (list, tuple)) else (v, 0.0)
+    if len(re_im) == 2:
+        try:
+            return complex(float(re_im[0]), float(re_im[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"complex values serialize as [re, im] or a real number, got {v!r}")
 
 
 def _plain(value):
@@ -99,15 +104,29 @@ def map_from_spec(spec: dict) -> HarmonicMap:
         return gallery_get(name, {k: float(v) for k, v in params.items()})
     if kind == "series":
         radius = float(spec.get("radius", 1.0))
-        h_coeffs = [pair_to_complex(c) for c in spec.get("h", [])]
-        g_coeffs = [pair_to_complex(c) for c in spec.get("g", [])]
-        h = from_series(h_coeffs, radius=radius) if h_coeffs \
-            else constant_function(0.0, "0")
-        g = from_series(g_coeffs, radius=radius) if g_coeffs \
-            else constant_function(0.0, "0")
         label = spec.get("label", "series map")
-        return HarmonicMap(h=h, g=g, label=str(label))
+        return HarmonicMap(h=_series_part(spec, "h", radius), g=_series_part(spec, "g", radius),
+                           label=str(label))
     raise ValueError(f"unknown function-spec type {kind!r}")
+
+
+def _series_part(spec: dict, key: str, radius=1.0):
+    """The series ``spec[key]`` (coefficients of z, z^2, ...); zero when absent or empty."""
+    coeffs = spec.get(key, [])
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError(f"'{key}' must be a list of coefficients, got {coeffs!r}")
+    if not coeffs:
+        return constant_function(0.0, "0")
+    return from_series([pair_to_complex(c) for c in coeffs], radius=radius)
+
+
+def perturbation_from_spec(spec: dict) -> Perturbation:
+    """Build a Perturbation ``p + conj(q)`` from a perturbation-spec dictionary."""
+    if not isinstance(spec, dict):
+        raise ValueError("perturbation spec must be an object with 'p', 'q' and 'A' fields")
+    a_closed = spec.get("A")
+    return Perturbation(p=_series_part(spec, "p"), q=_series_part(spec, "q"),
+                        A_closed_form=None if a_closed is None else float(a_closed))
 
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:

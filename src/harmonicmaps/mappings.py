@@ -14,13 +14,16 @@ else is built from:
 together with the pointwise operations: evaluation, Jacobian, dilatation and
 the Wirtinger chain rule for compositions ``phi(f(z), conj f(z))``.
 
-All evaluators are numpy-polymorphic: they accept a complex scalar or an
-ndarray of points and broadcast elementwise.
+Evaluator bundles own the scalar/array convention.  Their kernels are
+array-only: each argument reaches a kernel as a complex ndarray (0-d for a
+scalar), and a kernel returns an array of the shape of its first argument.
+The bundle returns ``complex`` for a scalar first argument and a complex
+ndarray otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +38,16 @@ FD_STEP = 1e-6
 SINGULAR_TOL = 1e-14
 
 
+def _array_kernel(kernel):
+    """Hand ``kernel`` complex ndarrays; return ``complex`` for a scalar first argument."""
+    def call(z, *rest):
+        z = np.asarray(z, dtype=complex)
+        out = kernel(z, *(np.asarray(a, dtype=complex) for a in rest))
+        return np.asarray(out, dtype=complex) if z.ndim else complex(out)
+
+    return call
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Evaluator bundle for a single-valued analytic function.
@@ -42,9 +55,9 @@ class AnalyticFunction:
     Parameters
     ----------
     eval : callable
-        ``z -> f(z)``, complex in, complex out (scalar or ndarray).
+        Array-only kernel ``z -> f(z)`` (see the module docstring).
     deriv : callable
-        ``z -> f'(z)``, same conventions.
+        Array-only kernel ``z -> f'(z)``.
     domain_radius : float
         Radius of validity inside the unit disk, in (0, 1].  Branch choices
         are fixed at construction; ``eval`` must be single-valued for
@@ -61,6 +74,8 @@ class AnalyticFunction:
     def __post_init__(self):
         if not 0.0 < self.domain_radius <= 1.0:
             raise ValueError(f"domain_radius must lie in (0, 1], got {self.domain_radius}")
+        for name in ("eval", "deriv"):
+            object.__setattr__(self, name, _array_kernel(getattr(self, name)))
 
     def __call__(self, z):
         return self.eval(z)
@@ -70,8 +85,8 @@ def constant_function(value=0.0, description="constant"):
     """Analytic function with constant value (derivative identically zero)."""
     c = complex(value)
     return AnalyticFunction(
-        eval=lambda z: np.full_like(np.asarray(z, dtype=complex), c) if np.ndim(z) else c,
-        deriv=lambda z: np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0.0 + 0.0j,
+        eval=lambda z: np.full_like(z, c),
+        deriv=np.zeros_like,
         description=description,
     )
 
@@ -79,8 +94,8 @@ def constant_function(value=0.0, description="constant"):
 def identity_function():
     """The identity map ``z -> z``."""
     return AnalyticFunction(
-        eval=lambda z: np.asarray(z, dtype=complex) if np.ndim(z) else complex(z),
-        deriv=lambda z: np.ones_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 1.0 + 0.0j,
+        eval=lambda z: z,
+        deriv=np.ones_like,
         description="z",
     )
 
@@ -104,22 +119,15 @@ def from_series(coeffs, radius=1.0, description=None):
         return constant_function(0.0, description or "0")
     dc = c * np.arange(1, c.size + 1)
 
-    def _eval(z):
-        z = np.asarray(z, dtype=complex)
+    def _horner(coeffs, z):
         acc = np.zeros_like(z)
-        for ck in c[::-1]:
+        for ck in coeffs[::-1]:
             acc = acc * z + ck
-        return acc * z if z.ndim else complex(acc * z)
-
-    def _deriv(z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for ck in dc[::-1]:
-            acc = acc * z + ck
-        return acc if z.ndim else complex(acc)
+        return acc
 
     label = description or f"series[{c.size} coeffs]"
-    return AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=radius, description=label)
+    return AnalyticFunction(eval=lambda z: _horner(c, z) * z, deriv=lambda z: _horner(dc, z),
+                            domain_radius=radius, description=label)
 
 
 @dataclass(frozen=True)
@@ -139,10 +147,10 @@ class HarmonicMap:
     def __post_init__(self):
         if self.normalized:
             checks = (
-                abs(complex(self.h.eval(0j))),
-                abs(complex(self.g.eval(0j))),
-                abs(complex(self.h.deriv(0j)) - 1.0),
-                abs(complex(self.g.deriv(0j))),
+                abs(self.h.eval(0j)),
+                abs(self.g.eval(0j)),
+                abs(self.h.deriv(0j) - 1.0),
+                abs(self.g.deriv(0j)),
             )
             if max(checks) > 1e-12:
                 raise ValueError(f"map '{self.label}' flagged normalized but violates "
@@ -164,14 +172,18 @@ class HarmonicMap:
 class WirtingerFunction:
     """C^1 function ``phi(w, conj w)`` with both Wirtinger partials.
 
-    ``eval``, ``dw`` and ``dwbar`` all take ``(w, wbar)``; ``dw`` is
-    d/dw and ``dwbar`` is d/d(conj w).
+    ``eval``, ``dw`` and ``dwbar`` are array-only kernels of ``(w, wbar)``
+    (see the module docstring); ``dw`` is d/dw and ``dwbar`` is d/d(conj w).
     """
 
     eval: Callable
     dw: Callable
     dwbar: Callable
     domain: str = ""
+
+    def __post_init__(self):
+        for name in ("eval", "dw", "dwbar"):
+            object.__setattr__(self, name, _array_kernel(getattr(self, name)))
 
     def __call__(self, w, wbar=None):
         return self.eval(w, np.conj(w) if wbar is None else wbar)
@@ -180,16 +192,10 @@ class WirtingerFunction:
 def linear_wirtinger(a, b, domain="plane"):
     """The function ``phi(w, wbar) = a*w + b*wbar`` with constant partials."""
     a, b = complex(a), complex(b)
-
-    def _shapefull(w, value):
-        w = np.asarray(w)
-        return np.full(w.shape, value, dtype=complex) if w.ndim else value
-
     return WirtingerFunction(
-        eval=lambda w, wbar: a * np.asarray(w, dtype=complex) + b * np.asarray(wbar, dtype=complex)
-        if np.ndim(w) else a * w + b * wbar,
-        dw=lambda w, wbar: _shapefull(w, a),
-        dwbar=lambda w, wbar: _shapefull(w, b),
+        eval=lambda w, wbar: a * w + b * wbar,
+        dw=lambda w, wbar: np.full_like(w, a),
+        dwbar=lambda w, wbar: np.full_like(w, b),
         domain=domain,
     )
 
@@ -199,7 +205,7 @@ def analytic_wirtinger(fn: AnalyticFunction, domain="image domain"):
     return WirtingerFunction(
         eval=lambda w, wbar: fn.eval(w),
         dw=lambda w, wbar: fn.deriv(w),
-        dwbar=lambda w, wbar: np.zeros_like(np.asarray(w, dtype=complex)) if np.ndim(w) else 0.0 + 0.0j,
+        dwbar=lambda w, wbar: np.zeros_like(w),
         domain=domain,
     )
 
@@ -274,8 +280,7 @@ def dilatation(f: HarmonicMap, z):
     _check_domain(f, z)
     hp = f.h.deriv(z)
     if np.min(np.abs(hp)) <= SINGULAR_TOL:
-        bad = np.asarray(z, dtype=complex).ravel()[int(np.argmin(np.abs(np.asarray(hp).ravel())))] \
-            if np.ndim(z) else z
+        bad = np.ravel(z)[int(np.argmin(np.abs(np.ravel(hp))))]
         raise SingularDerivativeError(f"h'(z) vanishes at z = {bad}")
     return f.g.deriv(z) / hp
 

@@ -117,7 +117,7 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
         if np.unique(pts).size < pts.size:
             raise ValueError("explicit sample points must be distinct")
         layout = {"kind": "explicit", "n": int(pts.size)}
-    vals = np.asarray(eval_map(f, pts), dtype=complex)
+    vals = eval_map(f, pts)
     if (fail := _nonfinite_report("injectivity", vals, pts, layout)) is not None:
         return fail
     ratio, i, j = _pair_min(pts.size, _ratio(vals, pts))
@@ -128,9 +128,14 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
 
 
 def jacobian_positivity_scan(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID) -> CheckReport:
-    """Minimum Jacobian over the grid; positive margin = sense-preserving on samples."""
+    """Minimum Jacobian over the grid; positive margin = sense-preserving on samples.
+
+    A non-finite Jacobian makes the scan inconclusive.
+    """
     pts = grid.points()
-    jac = np.asarray(jacobian(f, pts), dtype=float)
+    jac = jacobian(f, pts)
+    if (fail := _nonfinite_report("jacobian-positivity", jac, pts, grid)) is not None:
+        return fail
     k = int(np.argmin(jac))
     return CheckReport("jacobian-positivity", _verdict_from_margin(float(jac[k])),
                        float(jac[k]), witness=complex(pts[k]), grid=grid)
@@ -161,7 +166,7 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
         raise ValueError("need at least 64 circle points")
     grid = {"kind": "circle", "rho": float(rho), "n": int(n)}
     circle = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = np.asarray(eval_map(f, circle), dtype=complex)
+    vals = eval_map(f, circle)
     if (fail := _nonfinite_report("curve-simplicity", vals, circle, grid)) is not None:
         return fail
     scale = float(np.max(np.abs(vals - np.mean(vals))))

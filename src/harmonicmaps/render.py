@@ -48,10 +48,10 @@ def disk_image_curves(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
         raise ValueError(f"rho_max must lie in (0, {f.domain_radius:g}), got {rho_max}")
     angles = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
     unit = np.exp(1j * angles)
-    circles = [np.asarray(eval_map(f, rho_max * (j / n_circles) * unit))
+    circles = [eval_map(f, rho_max * (j / n_circles) * unit)
                for j in range(1, n_circles + 1)]
     radii = rho_max * np.arange(RAY_SAMPLES + 1) / RAY_SAMPLES
-    rays = [np.asarray(eval_map(f, radii * np.exp(2j * np.pi * k / n_rays)))
+    rays = [eval_map(f, radii * np.exp(2j * np.pi * k / n_rays))
             for k in range(n_rays)]
     return circles, rays
 

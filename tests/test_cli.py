@@ -219,6 +219,23 @@ def test_bound_series_perturbation_with_claimed_sup(capsys):
     assert payload["epsilon0_raw"] == pytest.approx(raw, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pert", "series", "--pert-spec", "[1,2]"],
+    ["--pert", "series", "--pert-spec", '{"p":[[1,2,3]]}'],
+    ["--pert", "series", "--pert-spec", '{"p":[null]}'],
+    ["--pert", "series", "--pert-spec", '{"q":[1.0],"A":0}'],
+    ["--spec", '{"type":"series","h":5}'],
+], ids=["spec-not-object", "coefficient-triple", "coefficient-null", "nonpositive-sup",
+        "series-not-list"])
+def test_bound_malformed_spec_is_input_error(capsys, argv):
+    if "--spec" not in argv:
+        argv = ["--named", "identity", *argv]
+    code, out, err = run_cli(capsys, ["bound", *argv, "--r", "0.5"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bound_series_without_spec_is_input_error(capsys):
     code, _, err = run_cli(
         capsys, ["bound", "--named", "identity", "--r", "0.5",

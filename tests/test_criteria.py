@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from harmonicmaps import (
+    DEFAULT_GRID,
     GridSpec,
     HarmonicMap,
     VERDICT_HOLDS,
@@ -30,6 +31,13 @@ GRID_09 = GridSpec(40, 96, 0.9)
 
 def z_squared_map():
     return HarmonicMap.from_analytic(from_series([0.0, 1.0], description="z^2"))
+
+
+def pole_function(pole):
+    """The Moebius map z/(z - pole), which is not finite at ``pole``."""
+    return AnalyticFunction(eval=lambda z: z / (z - pole),
+                            deriv=lambda z: -pole / (z - pole) ** 2,
+                            description="z/(z - pole)")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +272,7 @@ def test_philike_koebe_starlike():
 def test_philike_zero_denominator_is_violated():
     koebe = gallery_get("koebe").h
     w0 = complex(koebe.eval(0.5 + 0.0j))
-    Phi = AnalyticFunction(eval=lambda w: w - w0, deriv=lambda w: np.ones_like(
-        np.asarray(w, dtype=complex)) if np.ndim(w) else 1.0 + 0.0j)
+    Phi = AnalyticFunction(eval=lambda w: w - w0, deriv=np.ones_like)
     rep = check_philike(koebe, Phi, GridSpec(40, 96, 0.8))
     assert rep.verdict == VERDICT_VIOLATED
     assert_allclose(rep.witness, 0.5 + 0.0j, atol=1e-12)
@@ -276,16 +283,28 @@ def test_philike_spiral_case_matches_rotated_ratio(alpha):
     """Phi(w) = e^{i alpha} w reproduces the rotated starlike margin exactly."""
     f = gallery_get("cayley").h
     rot = np.exp(1j * alpha)
-    Phi = AnalyticFunction(
-        eval=lambda w: rot * np.asarray(w, dtype=complex) if np.ndim(w) else rot * w,
-        deriv=lambda w: np.full_like(np.asarray(w, dtype=complex), rot)
-        if np.ndim(w) else rot)
+    Phi = AnalyticFunction(eval=lambda w: rot * w, deriv=lambda w: np.full_like(w, rot))
     rep = check_philike(f, Phi, GRID_09)
     pts = GRID_09.points()
     z = pts[1:]
     direct = np.real(np.exp(-1j * alpha) * z * f.deriv(z) / f.eval(z))
     direct = np.concatenate(([np.real(np.exp(-1j * alpha) * f.deriv(0j))], direct))
     assert abs(rep.margin - float(np.min(direct))) <= 1e-12
+
+
+@pytest.mark.parametrize("scan", [
+    lambda h: check_theoremA(HarmonicMap.from_analytic(h)),
+    lambda h: check_theoremB(HarmonicMap.from_analytic(h), identity_function()),
+    lambda h: check_philike(h, identity_function()),
+], ids=["theoremA", "theoremB", "philike"])
+def test_nonfinite_sample_is_inconclusive(scan):
+    # The pole sits on a default-grid sample, where h and h' are not finite.
+    pole = DEFAULT_GRID.points()[5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = scan(pole_function(pole))
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.witness == pole
+    assert rep.meta == {"failure": "non-finite evaluation"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from numpy.testing import assert_allclose
 
 from harmonicmaps import (
     AnalyticFunction,
+    DiscreteMeasure,
     DomainError,
     GridSpec,
     HarmonicMap,
     SingularDerivativeError,
+    StructuralParams,
     composed_wirtinger,
     constant_function,
     dilatation,
@@ -18,10 +20,16 @@ from harmonicmaps import (
     from_series,
     gallery_get,
     identity_function,
+    inverse_wirtinger,
     jacobian,
     linear_wirtinger,
 )
+from harmonicmaps.construct import conjugate_z_perturbation, construct, normalize
+from harmonicmaps.gallery import names as gallery_names
+from harmonicmaps.herglotz import big_phi_function, structural_phi_prime
 from harmonicmaps.mappings import (
+    FD_STEP,
+    analytic_wirtinger,
     composition_fd,
     derivative_consistency,
     wirtinger_fd,
@@ -246,3 +254,81 @@ def test_harmonic_map_domain_radius_is_min():
 def test_normalized_flag_rejects_unnormalized():
     with pytest.raises(ValueError):
         HarmonicMap.from_analytic(from_series([2.0]), normalized=True)
+
+
+# ---------------------------------------------------------------------------
+# scalar/array contract of every evaluator bundle the package builds
+
+_Z = np.array([0.2, 0.3 + 0.1j, -0.25j, -0.4 + 0.2j, 0.1 - 0.35j, 0.05 + 0.05j])
+# A scalar call runs the kernel on 0-d arrays, whose arithmetic may round
+# differently from the vectorized loops by an ulp or so.  big_phi's
+# derivative is a central difference, which scales that by 1/(2*FD_STEP).
+_RTOL = 8 * np.finfo(float).eps
+_FD_RTOL = _RTOL / (2.0 * FD_STEP)
+_GALLERY_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
+                   "F_eps": {"r": 0.5, "eps": 0.01}, "f_eps": {"r": 0.5, "eps": 0.01}}
+
+
+def _parts(prefix, build):
+    """Bundle factories for the ``h`` and ``g`` parts of the map ``build()``."""
+    return {f"{prefix}.h": lambda: (build().h, _Z), f"{prefix}.g": lambda: (build().g, _Z)}
+
+
+def _big_phi():
+    koebe = gallery_get("koebe").h
+    prime = structural_phi_prime(koebe, DiscreteMeasure.point_mass(), StructuralParams())
+    return big_phi_function(koebe, prime, 0.0), koebe.eval(_Z)
+
+
+def _inverse():
+    f = gallery_get("f_k", {"k": 0.5})
+    return inverse_wirtinger(f), eval_map(f, _Z)
+
+
+ANALYTIC_BUNDLES = {
+    **_parts("construct", lambda: construct(gallery_get("h0"), conjugate_z_perturbation(),
+                                            0.5, 0.01, alpha=2.0).F),
+    **_parts("normalize", lambda: normalize(HarmonicMap(from_series([2.0, 0.5]),
+                                                        from_series([0.3])))[0]),
+    "constant": lambda: (constant_function(0.3 - 0.1j), _Z),
+    "identity": lambda: (identity_function(), _Z),
+    "series": lambda: (from_series([1.0, 0.5j, -0.25]), _Z),
+    "big_phi": _big_phi,
+}
+for _name in gallery_names():
+    ANALYTIC_BUNDLES.update(_parts(_name, lambda n=_name: gallery_get(n, _GALLERY_PARAMS.get(n))))
+WIRTINGER_BUNDLES = {
+    "linear": lambda: (linear_wirtinger(1.0 + 2.0j, 0.5), _Z),
+    "analytic": lambda: (analytic_wirtinger(from_series([1.0, 0.5])), _Z),
+    "inverse": _inverse,
+}
+
+
+def _check_contract(call, pts, rtol=_RTOL):
+    """Array calls keep shape and dtype; scalar calls give ``complex`` elements."""
+    values = call(pts)
+    assert isinstance(values, np.ndarray)
+    assert values.dtype == complex and values.shape == pts.shape
+    grid = call(pts.reshape(2, -1))
+    assert isinstance(grid, np.ndarray) and grid.dtype == complex
+    assert grid.shape == (2, pts.size // 2)
+    assert np.array_equal(grid.ravel(), values)
+    assert pts[0].imag == 0.0
+    for k, scalar in [(0, float(pts[0].real)), *enumerate(map(complex, pts))]:
+        value = call(scalar)
+        assert type(value) is complex
+        assert abs(value - values[k]) <= rtol * abs(values[k])
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_BUNDLES))
+def test_analytic_bundle_scalar_array_contract(name):
+    fn, pts = ANALYTIC_BUNDLES[name]()
+    _check_contract(fn.eval, pts)
+    _check_contract(fn.deriv, pts, _FD_RTOL if name == "big_phi" else _RTOL)
+
+
+@pytest.mark.parametrize("name", sorted(WIRTINGER_BUNDLES))
+def test_wirtinger_bundle_scalar_array_contract(name):
+    phi, pts = WIRTINGER_BUNDLES[name]()
+    for part in (phi.eval, phi.dw, phi.dwbar):
+        _check_contract(lambda w, part=part: part(w, np.conj(w)), pts)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from harmonicmaps import (
+    GridSpec,
     HarmonicMap,
     check_pairwise_bound,
     curve_simplicity,
@@ -99,7 +100,8 @@ def test_injectivity_input_validation():
     lambda f: injectivity_scan(f, points=np.array([0.1, 0.5, -0.3, 0.5j])),
     lambda f: check_pairwise_bound(f, 0.5, n=16),
     lambda f: curve_simplicity(f, 0.5, n=64),
-], ids=["injectivity", "pairwise-bound", "curve-simplicity"])
+    lambda f: jacobian_positivity_scan(f, GridSpec(n_radial=1, n_angular=4, r_max=0.5)),
+], ids=["injectivity", "pairwise-bound", "curve-simplicity", "jacobian-positivity"])
 def test_nonfinite_image_is_inconclusive(scan):
     rep = scan(pole_map(0.5))
     assert rep.verdict == "inconclusive"
