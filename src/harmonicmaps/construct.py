@@ -37,6 +37,9 @@ from .mappings import (
     GridSpec,
     HarmonicMap,
     DEFAULT_GRID,
+    combination,
+    constant_function,
+    identity_function,
 )
 
 # Sup estimates need samples close to the boundary.
@@ -64,9 +67,6 @@ class Perturbation:
         if self.A_closed_form is not None and not self.A_closed_form > 0.0:
             raise ValueError("A_closed_form must be positive when supplied")
 
-    def eval(self, z):
-        return self.p.eval(z) + np.conj(self.q.eval(z))
-
     def deriv_sum(self, z):
         """Pointwise ``|p'(z)| + |q'(z)|``."""
         return np.abs(self.p.deriv(z)) + np.abs(self.q.deriv(z))
@@ -74,8 +74,6 @@ class Perturbation:
 
 def conjugate_z_perturbation():
     """The simplest nontrivial perturbation ``phi(z) = conj(z)`` (A = 1)."""
-    from .mappings import constant_function, identity_function
-
     return Perturbation(p=constant_function(0.0, "0"), q=identity_function(),
                         A_closed_form=1.0)
 
@@ -258,22 +256,6 @@ def epsilon_budget(f: HarmonicMap, phi: Perturbation, r: float,
     return budget_audit(f, phi, r, alpha, grid)["epsilon0"]
 
 
-def _scaled_part(fn: AnalyticFunction, r: float, pert: AnalyticFunction,
-                 epsilon: float, label: str) -> AnalyticFunction:
-    """The analytic function ``z -> fn(r z) + epsilon * pert(z)``."""
-    radius = min(1.0, fn.domain_radius / r if r > 0.0 else 1.0,
-                 pert.domain_radius)
-
-    def _eval(z):
-        return fn.eval(r * z) + epsilon * pert.eval(z)
-
-    def _deriv(z):
-        return r * fn.deriv(r * z) + epsilon * pert.deriv(z)
-
-    return AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=radius,
-                            description=label)
-
-
 def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,
               alpha: OrderParam | float | None = None,
               grid: GridSpec = DEFAULT_GRID,
@@ -292,14 +274,14 @@ def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,
     r : float
         Shrink factor in (0, 1).
     epsilon : float
-        Nonnegative perturbation size.
+        Finite nonnegative perturbation size.
     alpha : OrderParam or float, optional
         Valence order for C(r); defaults to the harmonic value 3.
     unsafe : bool
         Permit epsilon at or beyond the budget (recorded, never silent).
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     audit = budget_audit(f, phi, r, alpha, grid)
     allowed = audit["epsilon0_safe"]
     note = audit["rigor_note"]
@@ -311,8 +293,10 @@ def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,
         note += "; unsafe override: epsilon exceeds the verified budget"
     label = f"{f.label or 'f'}({r:g}z)" + (f" + {epsilon:g}*phi" if epsilon else "")
     F = HarmonicMap(
-        h=_scaled_part(f.h, r, phi.p, epsilon, f"{label}: analytic part"),
-        g=_scaled_part(f.g, r, phi.q, epsilon, f"{label}: co-analytic part"),
+        h=combination([(1.0, f.h, r), (epsilon, phi.p, 1.0)],
+                      description=f"{label}: analytic part"),
+        g=combination([(1.0, f.g, r), (epsilon, phi.q, 1.0)],
+                      description=f"{label}: co-analytic part"),
         label=label,
     )
     return ConstructionResult(F=F, epsilon_used=float(epsilon),
@@ -324,22 +308,6 @@ def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,
 
 # ---------------------------------------------------------------------------
 # Affine renormalization into the standard family.
-
-def _affine_combination(x: AnalyticFunction, y: AnalyticFunction,
-                        cx: complex, cy: complex, shift: complex,
-                        label: str) -> AnalyticFunction:
-    """The analytic function ``cx*x + cy*y + shift``."""
-
-    def _eval(z):
-        return cx * x.eval(z) + cy * y.eval(z) + shift
-
-    def _deriv(z):
-        return cx * x.deriv(z) + cy * y.deriv(z)
-
-    return AnalyticFunction(eval=_eval, deriv=_deriv,
-                            domain_radius=min(x.domain_radius, y.domain_radius),
-                            description=label)
-
 
 def normalize(f: HarmonicMap):
     """Affine renormalization of f into the standard family.
@@ -389,8 +357,10 @@ def normalize(f: HarmonicMap):
     shift_g = -(cg_g * g0 + cg_h * h0)
     label = f"{f.label or 'f'} renormalized"
     f2 = HarmonicMap(
-        h=_affine_combination(f.h, f.g, ch_h, ch_g, shift_h, f"{label}: analytic part"),
-        g=_affine_combination(f.g, f.h, cg_g, cg_h, shift_g, f"{label}: co-analytic part"),
+        h=combination([(ch_h, f.h, 1.0), (ch_g, f.g, 1.0)], shift_h,
+                      f"{label}: analytic part"),
+        g=combination([(cg_g, f.g, 1.0), (cg_h, f.h, 1.0)], shift_g,
+                      f"{label}: co-analytic part"),
         label=label,
         normalized=True,
     )
@@ -411,8 +381,8 @@ def undo_normalize(f2: HarmonicMap, params: AffineParams) -> HarmonicMap:
     # f  = h'(0)*f1 + f(0):  h = h'(0)*h1 + f0, g = conj(h'(0))*g1.
     bh = params.h_prime0
     label = f"{f2.label or 'f2'} denormalized"
-    h = _affine_combination(f2.h, f2.g, bh, bh * a, params.f0,
-                            f"{label}: analytic part")
-    g = _affine_combination(f2.g, f2.h, np.conj(bh), np.conj(bh * a), 0.0,
-                            f"{label}: co-analytic part")
+    h = combination([(bh, f2.h, 1.0), (bh * a, f2.g, 1.0)], params.f0,
+                    f"{label}: analytic part")
+    g = combination([(np.conj(bh), f2.g, 1.0), (np.conj(bh * a), f2.h, 1.0)],
+                    description=f"{label}: co-analytic part")
     return HarmonicMap(h=h, g=g, label=label)

@@ -43,7 +43,7 @@ class OrderParam:
     def __post_init__(self):
         if self.provenance not in ("analytic-case", "harmonic-default", "user"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.provenance == "analytic-case" and self.alpha != 2.0:
             raise ValueError("analytic-case order is exactly 2")

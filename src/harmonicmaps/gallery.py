@@ -28,6 +28,7 @@ from .errors import GalleryLookupError
 from .mappings import (
     AnalyticFunction,
     HarmonicMap,
+    combination,
     derivative_consistency,
     from_series,
     identity_function,
@@ -165,16 +166,7 @@ def _h1() -> HarmonicMap:
 def _h_r_function(r: float) -> AnalyticFunction:
     if not 0.0 < r < 1.0:
         raise GalleryLookupError(f"h_r needs r in (0, 1), got {r}")
-    base = _h1_function()
-
-    def _eval(z):
-        return base.eval(r * z)
-
-    def _deriv(z):
-        return r * base.deriv(r * z)
-
-    return AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=1.0,
-                            description=f"h1({r:g}z)")
+    return combination([(1.0, _h1_function(), r)], description=f"h1({r:g}z)")
 
 
 def _h_r(r: float) -> HarmonicMap:
@@ -198,17 +190,8 @@ def _F_eps(r: float, eps: float) -> HarmonicMap:
 
 def _f_eps(r: float, eps: float) -> HarmonicMap:
     eps = _check_eps(eps)
-    base = _h_r_function(r)
     scale = 1.0 + eps
-
-    def _eval(z):
-        return scale * base.eval(z)
-
-    def _deriv(z):
-        return scale * base.deriv(z)
-
-    h = AnalyticFunction(eval=_eval, deriv=_deriv, domain_radius=1.0,
-                         description=f"{scale:g}*h1({r:g}z)")
+    h = combination([(scale, _h_r_function(r), 1.0)], description=f"{scale:g}*h1({r:g}z)")
     g = from_series([eps], description=f"{eps:g}*z")
     return HarmonicMap(h=_validated(h), g=g,
                        label=f"f_eps(r={r:g}, eps={eps:g})")

@@ -54,9 +54,9 @@ class DiscreteMeasure:
             raise ValueError("measure needs at least one atom")
         thetas = [t for t, _ in atoms]
         weights = [w for _, w in atoms]
-        if any(w < 0.0 for w in weights):
+        if not all(w >= 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
         if any(not 0.0 <= t < 2.0 * np.pi for t in thetas):
             raise ValueError("atom angles must lie in [0, 2pi)")
@@ -86,16 +86,18 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class StructuralParams:
-    """Free constants of the structural formula: ``c > 0``, ``c1`` real, ``c0`` complex."""
+    """Finite constants of the structural formula: ``c > 0``, ``c1`` real, ``c0`` complex."""
 
     c: float = 1.0
     c1: float = 0.0
     c0: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"c must be strictly positive, got {self.c}")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"c must be strictly positive and finite, got {self.c}")
         object.__setattr__(self, "c0", complex(self.c0))
+        if not np.isfinite([self.c1, self.c0]).all():
+            raise ValueError(f"c1 and c0 must be finite, got {self.c1}, {self.c0}")
 
 
 def herglotz_p(mu: DiscreteMeasure, z):

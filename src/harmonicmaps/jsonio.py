@@ -35,13 +35,24 @@ def complex_to_pair(z) -> list:
     return [z.real, z.imag]
 
 
+def _finite_real(value, what: str) -> float:
+    """``value`` as a finite float; ValueError for null, lists, objects and NaN/inf."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return x
+
+
 def pair_to_complex(v) -> complex:
-    """Accept ``[re, im]`` or a bare real number; ValueError for anything else."""
+    """Accept finite ``[re, im]`` or a bare finite real; ValueError for anything else."""
     re_im = v if isinstance(v, (list, tuple)) else (v, 0.0)
     if len(re_im) == 2:
         try:
-            return complex(float(re_im[0]), float(re_im[1]))
-        except (TypeError, ValueError):
+            return complex(*(_finite_real(x, "part") for x in re_im))
+        except ValueError:
             pass
     raise ValueError(f"complex values serialize as [re, im] or a real number, got {v!r}")
 
@@ -101,9 +112,10 @@ def map_from_spec(spec: dict) -> HarmonicMap:
         params = spec.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object of real values")
-        return gallery_get(name, {k: float(v) for k, v in params.items()})
+        return gallery_get(name, {k: _finite_real(v, f"parameter {k!r}")
+                                  for k, v in params.items()})
     if kind == "series":
-        radius = float(spec.get("radius", 1.0))
+        radius = _finite_real(spec.get("radius", 1.0), "'radius'")
         label = spec.get("label", "series map")
         return HarmonicMap(h=_series_part(spec, "h", radius), g=_series_part(spec, "g", radius),
                            label=str(label))
@@ -126,7 +138,8 @@ def perturbation_from_spec(spec: dict) -> Perturbation:
         raise ValueError("perturbation spec must be an object with 'p', 'q' and 'A' fields")
     a_closed = spec.get("A")
     return Perturbation(p=_series_part(spec, "p"), q=_series_part(spec, "q"),
-                        A_closed_form=None if a_closed is None else float(a_closed))
+                        A_closed_form=None if a_closed is None
+                        else _finite_real(a_closed, "'A'"))
 
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:
@@ -136,14 +149,15 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     if not isinstance(atoms, list) or not all(
             isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
         raise ValueError("'atoms' must be a list of [theta, weight] pairs")
-    return DiscreteMeasure(tuple((float(t), float(w)) for t, w in atoms))
+    return DiscreteMeasure(tuple((_finite_real(t, "atom angle"),
+                                  _finite_real(w, "atom weight")) for t, w in atoms))
 
 
 def structural_params_from_dict(data: dict) -> StructuralParams:
     if not isinstance(data, dict):
         raise ValueError("structural params must be a JSON object")
     return StructuralParams(
-        c=float(data.get("c", 1.0)),
-        c1=float(data.get("c1", 0.0)),
+        c=_finite_real(data.get("c", 1.0), "'c'"),
+        c1=_finite_real(data.get("c1", 0.0), "'c1'"),
         c0=pair_to_complex(data.get("c0", 0.0)),
     )

@@ -130,6 +130,21 @@ def from_series(coeffs, radius=1.0, description=None):
                             domain_radius=radius, description=label)
 
 
+def combination(terms, shift=0.0, description=""):
+    """Analytic function ``z -> sum(c * fn(s*z)) + shift`` over ``(c, fn, s)`` terms.
+
+    Its derivative is ``sum(c * s * fn'(s*z))``.  Each term needs
+    ``|s z| < fn.domain_radius``, so the domain radius is the minimum of 1 and
+    every ``fn.domain_radius / s``.
+    """
+    terms = tuple(terms)
+    radius = min([1.0] + [fn.domain_radius / s for _, fn, s in terms])
+    return AnalyticFunction(
+        eval=lambda z: sum(c * fn.eval(s * z) for c, fn, s in terms) + shift,
+        deriv=lambda z: sum(c * s * fn.deriv(s * z) for c, fn, s in terms),
+        domain_radius=radius, description=description)
+
+
 @dataclass(frozen=True)
 class HarmonicMap:
     """Harmonic mapping ``f = h + conj(g)`` on a disk domain.

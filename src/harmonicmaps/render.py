@@ -22,6 +22,10 @@ N_RAYS = 24
 CIRCLE_SAMPLES = 512
 RAY_SAMPLES = 160
 
+# The closed unit circle, first vertex repeated: scaled for the image circles
+# and drawn as the reference outline.
+_UNIT_CIRCLE = np.exp(1j * (2.0 * np.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES))
+
 
 def _fmt(x: float) -> str:
     s = f"{x:.6f}"
@@ -46,9 +50,7 @@ def disk_image_curves(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
     """
     if not 0.0 < rho_max < f.domain_radius:
         raise ValueError(f"rho_max must lie in (0, {f.domain_radius:g}), got {rho_max}")
-    angles = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
-    unit = np.exp(1j * angles)
-    circles = [eval_map(f, rho_max * (j / n_circles) * unit)
+    circles = [eval_map(f, rho_max * (j / n_circles) * _UNIT_CIRCLE)
                for j in range(1, n_circles + 1)]
     radii = rho_max * np.arange(RAY_SAMPLES + 1) / RAY_SAMPLES
     rays = [eval_map(f, radii * np.exp(2j * np.pi * k / n_rays))
@@ -74,15 +76,13 @@ def svg_document(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     diag = float(np.hypot(x1 - x0, y1 - y0))
     thin, thick = diag * 0.0012, diag * 0.0025
-    unit_angles = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE_SAMPLES
-    unit_circle = np.exp(1j * unit_angles)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
         f"<title>{escape(f.label or 'harmonic map image')}</title>",
         '<g stroke-linejoin="round" stroke-linecap="round">',
-        _path(unit_circle, "#555555", thin, dashed=True),
+        _path(_UNIT_CIRCLE, "#555555", thin, dashed=True),
     ]
     if draw_slit:
         parts.append(_path(np.array([complex(x0, 0.0), -1.0 + 0.0j]),

@@ -225,8 +225,12 @@ def test_bound_series_perturbation_with_claimed_sup(capsys):
     ["--pert", "series", "--pert-spec", '{"p":[null]}'],
     ["--pert", "series", "--pert-spec", '{"q":[1.0],"A":0}'],
     ["--spec", '{"type":"series","h":5}'],
+    ["--pert", "series", "--pert-spec", '{"p":[1],"A":[2]}'],
+    ["--pert", "series", "--pert-spec", '{"p":[1],"A":Infinity}'],
+    ["--pert", "series", "--pert-spec", '{"p":[[1,NaN]]}'],
+    ["--spec", '{"type":"series","h":[1],"radius":null}'],
 ], ids=["spec-not-object", "coefficient-triple", "coefficient-null", "nonpositive-sup",
-        "series-not-list"])
+        "series-not-list", "sup-list", "sup-infinite", "coefficient-nan", "radius-null"])
 def test_bound_malformed_spec_is_input_error(capsys, argv):
     if "--spec" not in argv:
         argv = ["--named", "identity", *argv]
@@ -281,11 +285,12 @@ def test_construct_unsafe_override(capsys):
 
 
 def test_construct_negative_eps_is_input_error(capsys):
-    code, _, err = run_cli(
-        capsys, ["construct", "--named", "h0", "--r", "0.5",
-                 "--eps", "-0.01", "--alpha", "2"])
-    assert code == EXIT_INPUT
-    assert "nonnegative" in err
+    for eps in ("-0.01", "nan"):
+        code, _, err = run_cli(
+            capsys, ["construct", "--named", "h0", "--r", "0.5",
+                     "--eps", eps, "--alpha", "2"])
+        assert code == EXIT_INPUT
+        assert "nonnegative" in err
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +445,21 @@ def test_spec_file_indirection(capsys, tmp_path):
      "cannot read"),
     (["check", "--named", "h0", "--criterion", "theoremB",
       "--G-named", "nope"], ""),
+    (["check", "--spec", '{"type":"series","h":[1],"radius":null}',
+      "--criterion", "theoremA"], "'radius'"),
+    (["check", "--spec", '{"type":"named","name":"f_k","params":{"k":null}}',
+      "--criterion", "theoremA"], "parameter 'k'"),
+    (["bound", "--named", "h0", "--r", "0.5", "--pert", "series",
+      "--pert-spec", '{"p":[1],"A":[2]}'], "'A'"),
+    (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,null]]}'],
+     "atom weight"),
+    (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,NaN]]}'],
+     "atom weight"),
+    (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,1]]}',
+      "--params", '{"c":null}'], "'c'"),
+    (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,1]]}',
+      "--params", '{"c1":Infinity}'], "'c1'"),
+    (["bound", "--named", "h0", "--r", "0.5", "--alpha", "nan"], "alpha"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

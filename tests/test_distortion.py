@@ -208,6 +208,8 @@ def test_order_param_validation():
     with pytest.raises(ValueError):
         OrderParam(0.5)
     with pytest.raises(ValueError):
+        OrderParam(float("nan"))
+    with pytest.raises(ValueError):
         OrderParam(3.0, "analytic-case")
     with pytest.raises(ValueError):
         OrderParam(2.0, "harmonic-default")

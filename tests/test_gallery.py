@@ -90,6 +90,15 @@ def test_h_r_is_dilated_h1():
     assert hr.domain_radius == 1.0
 
 
+@pytest.mark.parametrize("name, params", [
+    ("h_r", {}), ("F_eps", {"eps": 0.01}), ("f_eps", {"eps": 0.01})])
+def test_dilation_near_one_keeps_h1_domain(name, params):
+    # h1 is declared (and branch-checked) only on |z| < 0.999, so h1(rz) is
+    # valid on |z| < 0.999/r once r passes 0.999.
+    f = gallery_get(name, {"r": 0.9995, **params})
+    assert f.domain_radius == 0.999 / 0.9995
+
+
 def test_perturbed_family_identities():
     r, eps = 0.5, 0.01
     hr = gallery_get("h_r", {"r": r})

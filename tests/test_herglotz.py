@@ -96,6 +96,10 @@ def test_measure_rejects_bad_weights():
         DiscreteMeasure(((0.0, 0.4), (1.0, 0.5)))  # sums to 0.9
     with pytest.raises(ValueError):
         DiscreteMeasure(((0.0, -0.2), (1.0, 1.2)))
+    with pytest.raises(ValueError):
+        DiscreteMeasure(((0.0, float("nan")),))
+    with pytest.raises(ValueError):
+        DiscreteMeasure(((0.0, 1.0), (1.0, float("nan"))))
 
 
 def test_measure_rejects_bad_angles():
@@ -118,6 +122,10 @@ def test_structural_params_require_positive_c():
         StructuralParams(c=0.0)
     with pytest.raises(ValueError):
         StructuralParams(c=-1.0)
+    with pytest.raises(ValueError):
+        StructuralParams(c1=float("nan"))
+    with pytest.raises(ValueError):
+        StructuralParams(c0=complex(0.0, float("nan")))
     assert StructuralParams(c0=1.0).c0 == 1.0 + 0.0j
 
 
