@@ -184,7 +184,10 @@ def cmd_check(args) -> int:
         Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
         report = check_philike(fn, Phi, grid)
     else:  # oracle
-        inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
+        try:
+            inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
         jac = jacobian_positivity_scan(f, grid)
         rho = min(args.rho, 0.99 * f.domain_radius)
         curve = curve_simplicity(f, rho=rho, n=max(64, args.n // 2))

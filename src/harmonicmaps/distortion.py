@@ -26,7 +26,7 @@ import numpy as np
 from .criteria import VERDICT_HOLDS, VERDICT_VIOLATED, CheckReport, _nonfinite_report
 from .errors import DomainError
 from .mappings import HarmonicMap, eval_map
-from .oracle import _pair_min, _ratio
+from .oracle import _ratio_min
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
         return fail
     m0 = abs(f.h.deriv(0j)) - abs(f.g.deriv(0j))
     bound = m0 * c_of_r(r, a)
-    ratio, i, j = _pair_min(n, _ratio(vals, pts))
+    ratio, i, j = _ratio_min(vals, pts, [1])
     margin = ratio - bound
     verdict = VERDICT_HOLDS if margin >= 0.0 else VERDICT_VIOLATED
     return CheckReport("pairwise-bound", verdict, margin,

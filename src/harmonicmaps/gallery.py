@@ -264,5 +264,8 @@ def get(name: str, params: dict | None = None) -> HarmonicMap:
         raise GalleryLookupError(
             f"map {name!r} takes parameters {list(entry.required_params)}; "
             f"missing {missing}, unexpected {extra}")
-    args = [float(given[p]) for p in entry.required_params]
+    try:
+        args = [float(given[p]) for p in entry.required_params]
+    except (TypeError, ValueError):
+        raise GalleryLookupError(f"map {name!r} takes real parameters, got {given}") from None
     return entry.builder(*args)

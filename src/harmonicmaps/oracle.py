@@ -11,9 +11,14 @@ oracles attack the conclusion directly at fixed resolution:
   number of the image curve about its centroid).
 
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
-scans (and :func:`distortion.check_pairwise_bound`) share one blocked
-pair-minimum kernel with a fixed memory ceiling; it breaks ties on
-(value, i, j), so the report does not depend on how the pairs were blocked.
+scans (and :func:`distortion.check_pairwise_bound`) find their least pair
+value bound-first: a few cheap pairs (index neighbours) give an upper bound
+``u`` on the minimum, and only pairs whose image boxes lie within a window
+set by ``u`` are valued -- a sort-and-sweep over the low x of each box.  When
+those windows hold more than ``PRUNE_SHARE`` of all pairs, as on compact
+images, the blocked scan over every pair runs instead.  Both paths hold at
+most ``PAIR_BLOCK`` pairs at a time and break ties on (value, i, j), so the
+report does not depend on which path ran or how its pairs were blocked.
 """
 
 from __future__ import annotations
@@ -32,8 +37,18 @@ from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
 # Collinearity slack for the normalized orientation predicate.
 ORIENT_SLACK = 1e-12
 
-# Pairs per block of the pair-minimum kernel (one whole row when a row is longer).
+# Pairs per block of the pair-minimum kernels (one whole row when a row is longer).
 PAIR_BLOCK = 2 ** 15
+
+# Most pairs the bound-first prune may visit, as a share of all pairs; past it
+# the blocked scan over every pair is cheaper, since a ragged candidate pair
+# costs about four pairs of a rectangular block.
+PRUNE_SHARE = 1 / 5
+
+# Slack of the prune window, relative to the bound and additive at the image
+# scale, so that rounding in a pair value never drops a pair that reaches the
+# minimum.
+PRUNE_SLACK = 1e-9
 
 
 def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
@@ -78,9 +93,80 @@ def _pair_min(m, pair_value, gap=1):
     return best
 
 
-def _ratio(vals, pts):
-    """Pair value ``|f(z_j) - f(z_i)| / |z_j - z_i|`` for :func:`_pair_min`."""
-    return lambda i, j: np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
+def _near_pair_min(pair_value, offsets, lo, hi, stretch=1.0, gap=1):
+    """:func:`_pair_min` over the ``m = lo.size`` items, valuing only pairs that can win.
+
+    Item k is the box ``[lo_k.real, hi_k.real] x [lo_k.imag, hi_k.imag]`` (a
+    point is a box of no width), and a pair of value v must have boxes within
+    ``v * stretch`` of each other on both axes.  The least value u over the
+    pairs ``(i, i + d)``, for the ``offsets`` d >= gap, bounds the minimum, so
+    every pair that can reach it lies within ``w = u * stretch`` (plus
+    PRUNE_SLACK): sort the items by low x, find each one's window with
+    ``searchsorted``, and keep the pairs whose y ranges are also within w.
+    These candidates are valued in blocks of at most PAIR_BLOCK / 4.  When the
+    windows hold more than PRUNE_SHARE of all pairs, this is :func:`_pair_min`
+    itself.  Either way the result is ``_pair_min``'s, ties included.
+    """
+    m = lo.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = min(float(np.min(pair_value(np.arange(m - d), np.arange(d, m))))
+                for d in offsets if d < m)
+    mag = float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
+    w = u * stretch * (1.0 + PRUNE_SLACK) + PRUNE_SLACK * mag
+    order = np.argsort(lo.real, kind="stable")
+    # Sorted item r pairs with the sorted items r + 1 .. ends[r] - 1.
+    ends = np.searchsorted(lo.real[order], hi.real[order] + w, side="right")
+    counts = ends - np.arange(1, m + 1)
+    if not np.isfinite(w) or counts.sum() > PRUNE_SHARE * (m - gap) * (m - gap + 1) / 2:
+        return _pair_min(m, pair_value, gap)
+    low_y, high_y = lo.imag[order], hi.imag[order] + w
+    cum = np.cumsum(counts)
+    starts = cum - counts
+    # Candidate t, counted over all rows, pairs sorted row r with column t + shift[r].
+    shift = np.arange(1, m + 1) - starts
+    best = (np.inf, -1, -1)
+    r0 = 0
+    while r0 < m:
+        # Whole rows of at most PAIR_BLOCK / 4 candidates (one row when a row is
+        # longer): a candidate carries its own index arrays, so such a block
+        # holds about the memory of a PAIR_BLOCK block of _pair_min.
+        r1 = max(r0 + 1, int(np.searchsorted(cum, starts[r0] + PAIR_BLOCK // 4,
+                                             side="right")))
+        row = np.repeat(np.arange(r0, r1), counts[r0:r1])
+        col = np.arange(starts[r0], cum[r1 - 1]) + shift[row]
+        near = (low_y[col] <= high_y[row]) & (low_y[row] <= high_y[col])
+        a, b = order[row[near]], order[col[near]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        apart = j - i >= gap
+        i, j = i[apart], j[apart]
+        r0 = r1
+        if i.size == 0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.asarray(pair_value(i, j), dtype=float)
+        vmin = v.min()
+        k = int(np.min((i * m + j)[v == vmin]))
+        best = min(best, (float(vmin), k // m, k % m))
+    return best
+
+
+# Index offsets of the nearest neighbours in a sunflower sample (Fibonacci numbers).
+_FIBONACCI = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
+              2584, 4181, 6765, 10946, 17711, 28657, 46368, 75025, 121393)
+
+
+def _ratio_min(vals, pts, offsets):
+    """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``.
+
+    The pairs at the given index ``offsets`` give the bound; a pair of ratio
+    v has images within ``v * diam`` of each other, and ``2 max |z|`` bounds
+    the sample's diameter.
+    """
+    def ratio(i, j):
+        return np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
+
+    return _near_pair_min(ratio, offsets, vals, vals,
+                          stretch=2.0 * float(np.max(np.abs(pts))))
 
 
 def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
@@ -100,11 +186,13 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     r_max : float
         Sample disk radius.
     tol : float
-        Collision threshold on the ratio (default 1e-6).
+        Collision threshold on the ratio (default 1e-6); finite and >= 0.
     points : ndarray of complex, optional
         Explicit, distinct sample locations overriding the sunflower layout
         (used to place known-colliding pairs exactly).
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if points is None:
         if n_points < 50:
             raise ValueError("need at least 50 sample points")
@@ -120,7 +208,7 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     vals = eval_map(f, pts)
     if (fail := _nonfinite_report("injectivity", vals, pts, layout)) is not None:
         return fail
-    ratio, i, j = _pair_min(pts.size, _ratio(vals, pts))
+    ratio, i, j = _ratio_min(vals, pts, _FIBONACCI)
     verdict = VERDICT_HOLDS if ratio > tol else VERDICT_VIOLATED
     return CheckReport("injectivity", verdict, ratio,
                        witness=complex(pts[i]), grid=layout,
@@ -205,7 +293,9 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
         wrap_adjacent = (i == 0) & (j == m - 1)
         return np.where(wrap_adjacent, np.inf, np.where(proper, 0.0, dist))
 
-    margin, i, j = _pair_min(m, separation, gap=2)
+    lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
+    hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
+    margin, i, j = _near_pair_min(separation, [2], lo, hi, gap=2)
     crossing = margin <= ORIENT_SLACK * max(scale, 1.0)
     # Winding of the polyline about its centroid.
     rel = p - np.mean(p)

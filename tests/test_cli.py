@@ -460,6 +460,11 @@ def test_spec_file_indirection(capsys, tmp_path):
     (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,1]]}',
       "--params", '{"c1":Infinity}'], "'c1'"),
     (["bound", "--named", "h0", "--r", "0.5", "--alpha", "nan"], "alpha"),
+    (["check", "--named", "h0", "--criterion", "oracle", "--n", "50", "--tol", "nan"],
+     "tol"),
+    (["check", "--named", "h0", "--criterion", "oracle", "--n", "50", "--tol", "-1"],
+     "tol"),
+    (["check", "--named", "h0", "--criterion", "oracle", "--n", "20"], "50 sample points"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

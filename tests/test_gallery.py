@@ -40,6 +40,9 @@ def test_lookup_errors():
         gallery_get("h_r", {"r": 0.0})
     with pytest.raises(GalleryLookupError):
         gallery_get("F_eps", {"r": 0.5, "eps": float("nan")})
+    for bad in (None, [0.5], "abc"):
+        with pytest.raises(GalleryLookupError, match="real parameters"):
+            gallery_get("f_k", {"k": bad})
     # GalleryLookupError doubles as a KeyError for dict-style callers
     assert issubclass(GalleryLookupError, KeyError)
 

@@ -1,5 +1,6 @@
 """Direct injectivity/orientation oracles: layouts, scans, and curve tests."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,9 @@ def test_injectivity_input_validation():
         injectivity_scan(f, points=np.array([0.1 + 0.0j]))
     with pytest.raises(ValueError, match="distinct"):
         injectivity_scan(f, points=np.array([0.1, 0.2j, 0.1]))
+    for tol in (np.nan, np.inf, -1e-6):
+        with pytest.raises(ValueError, match="tol"):
+            injectivity_scan(f, n_points=50, tol=tol)
 
 
 @pytest.mark.parametrize("scan", [
@@ -307,3 +311,108 @@ def test_pair_min_matches_sorted_pairs(m, gap, block, seed):
     expect = min(((table[i, j], i, j) for i, j in pairs), default=(np.inf, -1, -1))
     with mock.patch.object(oracle, "PAIR_BLOCK", block):
         assert oracle._pair_min(m, lambda i, j: table[i, j], gap=gap) == expect
+
+
+# ---------------------------------------------------------------------------
+# the bound-first prune against the blocked scan over every pair
+
+
+PRUNE_MAPS = [*PAIR_MAPS, "z + z^3"]
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("the pruned path fell back to the scan over every pair")
+
+
+def _both_paths(monkeypatch, scan):
+    """``scan()`` on the pruned path and on the scan over every pair, as
+    (margin, witness, worst_pair, verdict)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "PRUNE_SHARE", np.inf)
+        patch.setattr(oracle, "_pair_min", _no_fallback)
+        pruned = scan()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "PRUNE_SHARE", 0.0)
+        every = scan()
+    return [(rep.margin, rep.witness, rep.meta["worst_pair"], rep.verdict)
+            for rep in (pruned, every)]
+
+
+def _prune_map(name):
+    if name == "z + z^3":
+        return HarmonicMap.from_analytic(from_series([1.0, 0.0, 1.0], description="z + z^3"))
+    return _pair_map(name)
+
+
+@pytest.mark.parametrize("name", PRUNE_MAPS)
+def test_pruned_scans_match_all_pairs(monkeypatch, name):
+    f = _prune_map(name)
+    radius = f.domain_radius
+    scans = [lambda n=n: curve_simplicity(f, 0.9 * radius, n=n) for n in (1024, 2048)]
+    scans.append(lambda: injectivity_scan(f, n_points=2000, r_max=0.95 * radius))
+    scans += [lambda r=r: check_pairwise_bound(f, r * radius, n=2048) for r in (0.5, 0.9)]
+    for scan in scans:
+        pruned, every = _both_paths(monkeypatch, scan)
+        assert pruned == every
+
+
+@pytest.mark.parametrize("name", ["koebe", "f_k", "h0", "h1", "z + 2z^2", "z + z^3"])
+def test_pruned_injectivity_matches_all_pairs_at_scale(monkeypatch, name):
+    f = _prune_map(name)
+    pruned, every = _both_paths(monkeypatch, lambda: injectivity_scan(f, n_points=8000))
+    assert pruned == every
+
+
+@pytest.mark.parametrize("name", ["identity", "h1", "z + 2z^2"])
+def test_pruned_curve_matches_all_pairs_at_scale(monkeypatch, name):
+    f = _prune_map(name)
+    pruned, every = _both_paths(monkeypatch, lambda: curve_simplicity(f, 0.9, n=8192))
+    assert pruned == every
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(3, 40), gap=st.integers(1, 2), segments=st.booleans(),
+       block=st.sampled_from(BLOCKS), data=st.data())
+def test_near_pair_min_matches_sorted_pairs(m, gap, segments, block, data):
+    # Integer coordinates in a small range, so duplicate points, touching
+    # segments (a bound u = 0) and tied pair values are common.
+    coords = st.lists(st.integers(0, 5), min_size=m, max_size=m)
+    p = np.array(data.draw(coords)) + 1j * np.array(data.draw(coords))
+    if segments:
+        q = np.array(data.draw(coords)) + 1j * np.array(data.draw(coords))
+        lo = np.minimum(p.real, q.real) + 1j * np.minimum(p.imag, q.imag)
+        hi = np.maximum(p.real, q.real) + 1j * np.maximum(p.imag, q.imag)
+
+        def value(i, j):
+            return np.minimum.reduce([oracle._point_segment_distance(p[j], p[i], q[i]),
+                                      oracle._point_segment_distance(q[j], p[i], q[i]),
+                                      oracle._point_segment_distance(p[i], p[j], q[j]),
+                                      oracle._point_segment_distance(q[i], p[j], q[j])])
+    else:
+        lo = hi = p
+
+        def value(i, j):
+            return np.abs(p[j] - p[i])
+    offsets = data.draw(st.lists(st.integers(gap, m - 1), min_size=1, max_size=3))
+    table = value(np.arange(m)[:, None], np.arange(m)[None, :])
+    expect = min((table[i, j], i, j) for i in range(m) for j in range(i + gap, m))
+    with mock.patch.object(oracle, "PAIR_BLOCK", block), \
+            mock.patch.object(oracle, "PRUNE_SHARE", np.inf), \
+            mock.patch.object(oracle, "_pair_min", _no_fallback):
+        assert oracle._near_pair_min(value, offsets, lo, hi, gap=gap) == expect
+
+
+def test_pruned_scans_keep_memory_flat(monkeypatch):
+    # Candidates are valued in blocks, so the peak stays a few MB at any n
+    # (the scan over every pair peaks at 4.1 MB on the curve at n 8192).
+    monkeypatch.setattr(oracle, "_pair_min", _no_fallback)
+    koebe = gallery_get("koebe")
+    for scan in (lambda: injectivity_scan(koebe, n_points=8000),
+                 lambda: curve_simplicity(koebe, 0.9, n=8192)):
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
