@@ -56,7 +56,6 @@ from .herglotz import (
     DiscreteMeasure,
     StructuralParams,
     big_phi_function,
-    build_big_phi,
     build_phi,
     herglotz_p,
     inverse_wirtinger,
@@ -116,7 +115,6 @@ __all__ = [
     "analytic_wirtinger",
     "big_phi_function",
     "budget_audit",
-    "build_big_phi",
     "build_phi",
     "c_of_r",
     "check_corollary1",

@@ -63,10 +63,6 @@ EXIT_INPUT = 2
 HERGLOTZ_TOL = 1e-5
 
 
-class _CliError(Exception):
-    """Input-level failure; message printed to stderr, exit code 2."""
-
-
 def _load_json_arg(text: str, what: str):
     """Parse inline JSON or @path indirection."""
     if text.startswith("@"):
@@ -74,11 +70,11 @@ def _load_json_arg(text: str, what: str):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _CliError(f"cannot read {what} file: {exc}") from exc
+            raise ValueError(f"cannot read {what} file: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed {what} JSON: {exc}") from exc
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
 
 
 def _parse_params(pairs) -> dict:
@@ -86,35 +82,24 @@ def _parse_params(pairs) -> dict:
     for item in pairs or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise _CliError(f"--param expects name=value, got {item!r}")
+            raise ValueError(f"--param expects name=value, got {item!r}")
         try:
             out[key] = float(value)
         except ValueError as exc:
-            raise _CliError(f"parameter {key!r} needs a real value, got {value!r}") from exc
+            raise ValueError(f"parameter {key!r} needs a real value, got {value!r}") from exc
     return out
 
 
 def _map_from_args(args) -> HarmonicMap:
     if getattr(args, "spec", None):
-        spec = _load_json_arg(args.spec, "function spec")
-        try:
-            return jsonio.map_from_spec(spec)
-        except (ValueError, HarmonicMapsError) as exc:
-            raise _CliError(str(exc)) from exc
+        return jsonio.map_from_spec(_load_json_arg(args.spec, "function spec"))
     if getattr(args, "named", None):
-        try:
-            return gallery_get(args.named, _parse_params(args.param))
-        except HarmonicMapsError as exc:
-            raise _CliError(str(exc)) from exc
-    raise _CliError("select a map with --named or --spec")
+        return gallery_get(args.named, _parse_params(args.param))
+    raise ValueError("select a map with --named or --spec")
 
 
 def _grid_from_args(args) -> GridSpec:
-    try:
-        return GridSpec(n_radial=args.n_radial, n_angular=args.n_angular,
-                        r_max=args.r_max)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    return GridSpec(n_radial=args.n_radial, n_angular=args.n_angular, r_max=args.r_max)
 
 
 def _analytic_part(f: HarmonicMap, what: str) -> AnalyticFunction:
@@ -122,7 +107,7 @@ def _analytic_part(f: HarmonicMap, what: str) -> AnalyticFunction:
     probes = np.array([0.0, 0.3 + 0.2j, -0.4j]) * min(1.0, f.domain_radius)
     if np.max(np.abs(f.g.eval(probes))) > 1e-12 \
             or np.max(np.abs(f.g.deriv(probes))) > 1e-12:
-        raise _CliError(f"{what} needs an analytic map (co-analytic part must vanish)")
+        raise ValueError(f"{what} needs an analytic map (co-analytic part must vanish)")
     return f.h
 
 
@@ -131,7 +116,7 @@ def _parse_complex_flag(text: str, what: str) -> complex:
         re_s, _, im_s = text.partition(",")
         return complex(float(re_s), float(im_s or 0.0))
     except ValueError as exc:
-        raise _CliError(f"{what} expects re[,im], got {text!r}") from exc
+        raise ValueError(f"{what} expects re[,im], got {text!r}") from exc
 
 
 def _phi_from_args(args, f: HarmonicMap):
@@ -146,11 +131,8 @@ def _perturbation_from_args(args):
     if args.pert == "conj":
         return conjugate_z_perturbation()
     if not args.pert_spec:
-        raise _CliError("--pert series needs --pert-spec JSON")
-    try:
-        return jsonio.perturbation_from_spec(_load_json_arg(args.pert_spec, "perturbation spec"))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        raise ValueError("--pert series needs --pert-spec JSON")
+    return jsonio.perturbation_from_spec(_load_json_arg(args.pert_spec, "perturbation spec"))
 
 
 def _emit(payload: dict) -> None:
@@ -184,10 +166,7 @@ def cmd_check(args) -> int:
         Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
         report = check_philike(fn, Phi, grid)
     else:  # oracle
-        try:
-            inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
         jac = jacobian_positivity_scan(f, grid)
         rho = min(args.rho, 0.99 * f.domain_radius)
         curve = curve_simplicity(f, rho=rho, n=max(64, args.n // 2))
@@ -218,10 +197,7 @@ def cmd_bound(args) -> int:
     f = _map_from_args(args)
     pert = _perturbation_from_args(args)
     grid = _grid_from_args(args)
-    try:
-        audit = budget_audit(f, pert, args.r, args.alpha, grid)
-    except (ValueError, HarmonicMapsError) as exc:
-        raise _CliError(str(exc)) from exc
+    audit = budget_audit(f, pert, args.r, args.alpha, grid)
     payload = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "C_r": audit["C_r"],
@@ -245,11 +221,8 @@ def cmd_construct(args) -> int:
     f = _map_from_args(args)
     pert = _perturbation_from_args(args)
     grid = _grid_from_args(args)
-    try:
-        result = build_map(f, pert, args.r, args.eps, alpha=args.alpha,
-                           grid=grid, unsafe=args.unsafe)
-    except (ValueError, HarmonicMapsError) as exc:
-        raise _CliError(str(exc)) from exc
+    result = build_map(f, pert, args.r, args.eps, alpha=args.alpha,
+                       grid=grid, unsafe=args.unsafe)
     F = result.F
     cert_pts = grid.points()
     cert = float(np.min(np.abs(F.h.deriv(cert_pts)) - np.abs(F.g.deriv(cert_pts))))
@@ -273,20 +246,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_herglotz(args) -> int:
-    measure_data = _load_json_arg(args.measure, "measure")
-    try:
-        mu = jsonio.measure_from_dict(measure_data)
-        params = jsonio.structural_params_from_dict(
-            _load_json_arg(args.params, "structural params") if args.params else {})
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    mu = jsonio.measure_from_dict(_load_json_arg(args.measure, "measure"))
+    params = jsonio.structural_params_from_dict(
+        _load_json_arg(args.params, "structural params") if args.params else {})
     f = _map_from_args(args)
     fn = _analytic_part(f, "the structural identity")
     grid = _grid_from_args(args)
-    try:
-        deviation = verify_structural_identity(fn, mu, params, grid)
-    except HarmonicMapsError as exc:
-        raise _CliError(str(exc)) from exc
+    deviation = verify_structural_identity(fn, mu, params, grid)
     sample_w = fn.eval(0.5 * np.exp(2j * np.pi * np.arange(8) / 8))
     phi_vals = build_phi(lambda w: invert(HarmonicMap.from_analytic(fn), w),
                          mu, params, sample_w)
@@ -309,16 +275,13 @@ def cmd_render(args) -> int:
     f = _map_from_args(args)
     slit_named = {"h1", "h_r", "F_eps", "f_eps"}
     draw_slit = args.slit or (getattr(args, "named", None) in slit_named)
-    try:
-        text = svg_document(f, rho_max=args.rho_max, draw_slit=draw_slit)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    text = svg_document(f, rho_max=args.rho_max, draw_slit=draw_slit)
     out = args.out or f"{(args.named or 'map')}.svg"
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {out!r}: {exc}") from exc
+        raise ValueError(f"cannot write {out!r}: {exc}") from exc
     sys.stdout.write(out + "\n")
     return EXIT_HOLDS
 
@@ -425,12 +388,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize other codes.
         return EXIT_INPUT if exc.code not in (0,) else 0
+    # The one input-error boundary: every ValueError or package error raised
+    # on the way from the command line to a report is bad input, exit 2.
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HarmonicMapsError as exc:
+    except (ValueError, HarmonicMapsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distortion import OrderParam, c_of_r
+from .distortion import OrderParam, _coerce_alpha, c_of_r
 from .errors import BudgetExceededError, DomainError, InapplicableError
 from .mappings import (
     AnalyticFunction,
@@ -212,7 +212,7 @@ def budget_audit(f: HarmonicMap, phi: Perturbation, r: float,
     if a_sup <= 0.0:
         raise InapplicableError("perturbation has zero derivative sup; "
                                 "any epsilon works but the budget is undefined")
-    cr = c_of_r(r, order.alpha)
+    cr = c_of_r(r, order)
     eps0 = (r / a_sup) * min(m_r, m_0 * cr)
     notes = [
         f"m(r)={m_r:.9g} and m(0)={m_0:.9g} are grid minima (upper estimates "
@@ -235,17 +235,8 @@ def budget_audit(f: HarmonicMap, phi: Perturbation, r: float,
     }
 
 
-def _coerce_alpha(alpha) -> OrderParam:
-    if alpha is None:
-        return OrderParam.harmonic()
-    if isinstance(alpha, OrderParam):
-        return alpha
-    return OrderParam(float(alpha), "user")
-
-
 def epsilon_budget(f: HarmonicMap, phi: Perturbation, r: float,
-                   alpha: OrderParam | float | None = None,
-                   grid: GridSpec = DEFAULT_GRID) -> float:
+                   alpha: OrderParam | float | None = None) -> float:
     """Raw perturbation budget ``(r/A) * min{m(r), m(0)*C(r)}``.
 
     The default order is the conservative harmonic one (alpha = 3); pass
@@ -253,7 +244,7 @@ def epsilon_budget(f: HarmonicMap, phi: Perturbation, r: float,
     build maps should leave headroom below this number; :func:`construct`
     enforces a 1% haircut itself.
     """
-    return budget_audit(f, phi, r, alpha, grid)["epsilon0"]
+    return budget_audit(f, phi, r, alpha)["epsilon0"]
 
 
 def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,

@@ -215,14 +215,14 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
                        meta={"n_epsilon": n_epsilon, "worst_epsilon": ang})
 
 
-def _best_rotation(slack_of_gamma, n_gamma, tol=1e-6):
+def _best_rotation(slack_of_gamma, n_gamma):
     """Coarse scan over [0, 2pi) then golden-section polish of the best candidate."""
     candidates = 2.0 * np.pi * np.arange(n_gamma) / n_gamma
     vals = [slack_of_gamma(g) for g in candidates]
     k = int(np.argmax(vals))
     half = 2.0 * np.pi / n_gamma
     gamma, margin = golden_section_max(slack_of_gamma, candidates[k] - half,
-                                       candidates[k] + half, tol=tol)
+                                       candidates[k] + half)
     # Keep the coarse winner if polishing drifted into a worse spot.
     if vals[k] > margin:
         gamma, margin = candidates[k], vals[k]

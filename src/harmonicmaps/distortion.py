@@ -59,6 +59,15 @@ class OrderParam:
         return cls(3.0, "harmonic-default")
 
 
+def _coerce_alpha(alpha) -> OrderParam:
+    """``alpha`` as an :class:`OrderParam`: None is the harmonic default."""
+    if alpha is None:
+        return OrderParam.harmonic()
+    if isinstance(alpha, OrderParam):
+        return alpha
+    return OrderParam(float(alpha), "user")
+
+
 def c_of_r(r, alpha=3.0):
     """Pairwise-separation decay constant ``C(r)`` for order ``alpha``.
 
@@ -67,11 +76,9 @@ def c_of_r(r, alpha=3.0):
     from 1 toward 0 as ``r`` approaches 1.  ``alpha`` may be a plain number
     or an :class:`OrderParam`.
     """
-    a = alpha.alpha if isinstance(alpha, OrderParam) else float(alpha)
-    if a < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {a}")
+    a = _coerce_alpha(alpha).alpha
     rv = np.asarray(r, dtype=float)
-    if np.any(rv < 0.0) or np.any(rv >= 1.0):
+    if not np.all((rv >= 0.0) & (rv < 1.0)):
         raise DomainError("radius must satisfy 0 <= r < 1")
     q = (1.0 - rv) / (1.0 + rv)
     safe_r = np.where(rv > 0.0, rv, 1.0)
@@ -168,7 +175,7 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
         raise DomainError(f"r must lie in (0, 1), got {r}")
     if n < 8:
         raise ValueError("need at least 8 circle points")
-    a = alpha.alpha if isinstance(alpha, OrderParam) else float(alpha)
+    a = _coerce_alpha(alpha).alpha
     grid = {"kind": "circle", "r": r, "n": n}
     pts = r * np.exp(2j * np.pi * np.arange(n) / n)
     vals = eval_map(f, pts)

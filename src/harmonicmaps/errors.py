@@ -19,7 +19,7 @@ class InversionError(HarmonicMapsError):
     Carries the target ``w`` that misses its bound ``tol * max(1, |w|)`` by
     the largest factor, and as ``best_residual`` the absolute residual
     ``|f(z) - w|`` reached there, so the caller can decide whether to retry
-    with a different seed or a coarser tolerance.
+    with a coarser tolerance.
     """
 
     def __init__(self, message, w=None, best_residual=None):

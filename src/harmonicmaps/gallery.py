@@ -54,9 +54,9 @@ class GalleryEntry:
                 "notes": self.notes}
 
 
-def _validated(fn: AnalyticFunction, n=60) -> AnalyticFunction:
+def _validated(fn: AnalyticFunction) -> AnalyticFunction:
     """Check fn.deriv against finite differences on a fixed disk sample."""
-    pts = sunflower_points(n, 0.9 * fn.domain_radius)
+    pts = sunflower_points(60, 0.9 * fn.domain_radius)
     err = derivative_consistency(fn, pts)
     if err > _FD_TOL:
         raise ValueError(f"derivative of '{fn.description}' disagrees with "

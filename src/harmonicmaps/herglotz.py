@@ -133,7 +133,7 @@ def build_phi(f_inv, mu: DiscreteMeasure, params: StructuralParams, w):
 
 
 def structural_phi_prime(f: AnalyticFunction, mu: DiscreteMeasure,
-                         params: StructuralParams, inversion_tol=1e-12):
+                         params: StructuralParams):
     """Derivative ``phi'(w)`` of the structural function, as a callable.
 
     Uses ``phi'(w) = (c*p(zeta) - i*c*c1) / f'(zeta)`` at ``zeta = f^{-1}(w)``
@@ -142,7 +142,7 @@ def structural_phi_prime(f: AnalyticFunction, mu: DiscreteMeasure,
     fh = HarmonicMap.from_analytic(f)
 
     def prime(w):
-        zeta = invert(fh, w, tol=inversion_tol)
+        zeta = invert(fh, w)
         return (params.c * herglotz_p(mu, zeta) - 1j * params.c * params.c1) / f.deriv(zeta)
 
     return prime
@@ -150,8 +150,7 @@ def structural_phi_prime(f: AnalyticFunction, mu: DiscreteMeasure,
 
 def verify_structural_identity(f: AnalyticFunction, mu: DiscreteMeasure,
                                params: StructuralParams,
-                               grid: GridSpec = DEFAULT_GRID,
-                               fd_step=FD_STEP) -> float:
+                               grid: GridSpec = DEFAULT_GRID) -> float:
     """Max deviation of ``d/dz phi(f(z))`` from ``c*p(z) - i*c*c1`` over the grid.
 
     The derivative on the left is a central finite difference of the composed
@@ -162,43 +161,34 @@ def verify_structural_identity(f: AnalyticFunction, mu: DiscreteMeasure,
     fh = HarmonicMap.from_analytic(f)
     pts = grid.points()
     # Tight inversion bound |f(z) - w| <= 1e-14 * max(1, |w|): the error of
-    # the inverse is amplified by 1/(2*fd_step) in the difference quotient.
+    # the inverse is amplified by 1/(2*FD_STEP) in the difference quotient.
     f_inv = lambda w: invert(fh, w, tol=1e-14)
-    upper = build_phi(f_inv, mu, params, f.eval(pts + fd_step))
-    lower = build_phi(f_inv, mu, params, f.eval(pts - fd_step))
-    lhs = (upper - lower) / (2.0 * fd_step)
+    upper = build_phi(f_inv, mu, params, f.eval(pts + FD_STEP))
+    lower = build_phi(f_inv, mu, params, f.eval(pts - FD_STEP))
+    lhs = (upper - lower) / (2.0 * FD_STEP)
     rhs = params.c * herglotz_p(mu, pts) - 1j * params.c * params.c1
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def build_big_phi(f: AnalyticFunction, phi_prime, gamma: float, w):
-    """Associated analytic ``Phi(w) = f^{-1}(w) / (e^{i gamma} phi'(w))``.
+def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float) -> AnalyticFunction:
+    """Associated analytic ``Phi(w) = f^{-1}(w) / (e^{i gamma} phi'(w))``, as a bundle.
 
     Feeding this ``Phi`` into the ratio test ``Re(z f'(z)/Phi(f(z))) > 0``
-    reproduces the positive-derivative condition on ``phi(f(z))``.
+    reproduces the positive-derivative condition on ``phi(f(z))``.  The
+    derivative is a central finite difference of the value; that is accurate
+    to far better than the 1e-4 validation bar and is only needed at the
+    origin by the ratio test.
     """
     fh = HarmonicMap.from_analytic(f)
-    zeta = invert(fh, w)
-    pp = np.asarray(phi_prime(w), dtype=complex)
-    if np.min(np.abs(pp)) <= 1e-300:
-        raise SingularDerivativeError("phi'(w) vanishes")
-    out = zeta / (np.exp(1j * gamma) * pp)
-    return out if np.ndim(w) else complex(out)
 
-
-def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float,
-                     fd_step=FD_STEP) -> AnalyticFunction:
-    """Wrap :func:`build_big_phi` as an evaluator bundle.
-
-    The derivative is a central finite difference of the wrapped value; that
-    is accurate to far better than the 1e-4 validation bar and is only needed
-    at the origin by the ratio test.
-    """
     def value(w):
-        return build_big_phi(f, phi_prime, gamma, w)
+        pp = np.asarray(phi_prime(w), dtype=complex)
+        if np.min(np.abs(pp)) <= 1e-300:
+            raise SingularDerivativeError("phi'(w) vanishes")
+        return invert(fh, w) / (np.exp(1j * gamma) * pp)
 
     def deriv(w):
-        return (value(w + fd_step) - value(w - fd_step)) / (2.0 * fd_step)
+        return (value(w + FD_STEP) - value(w - FD_STEP)) / (2.0 * FD_STEP)
 
     return AnalyticFunction(eval=value, deriv=deriv,
                             description=f"{f.description or 'f'}-associated ratio target")
@@ -220,7 +210,7 @@ def _clamped(z, clamp):
     return np.where(mag > clamp, z * (clamp / np.maximum(mag, clamp)), z)
 
 
-def _newton_sweep(f: HarmonicMap, w, z, bound, max_iter, clamp):
+def _newton_sweep(f: HarmonicMap, w, z, bound, clamp):
     """Damped Newton iterations from the given seeds; returns (z, residual).
 
     Only targets whose residual still exceeds ``bound`` are iterated.
@@ -228,7 +218,7 @@ def _newton_sweep(f: HarmonicMap, w, z, bound, max_iter, clamp):
     z = z.copy()
     r = w - eval_map(f, z)
     res = np.abs(r)
-    for _ in range(max_iter):
+    for _ in range(50):
         act = np.flatnonzero(res > bound)
         if act.size == 0:
             break
@@ -278,17 +268,16 @@ def _nearest_seeds(cloud, w):
     return out
 
 
-def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
+def invert(f: HarmonicMap, w, tol=1e-12):
     """Solve ``f(z) = w`` for z by damped Newton iteration.
 
     The harmonic map is treated as two real unknowns; the update solves the
     linearized system through the Wirtinger differentials ``f_z = h'`` and
     ``f_zbar = conj(g')`` (plain complex Newton would be wrong for ``g != 0``).
     Steps are halved while they increase the residual, and iterates are
-    clamped inside the domain.  Without a ``seed``, each target starts from
-    the point of a fixed polar seed cloud whose image is nearest to it, so a
-    few steps usually suffice; with a ``seed``, targets that fail to converge
-    from it are retried from that cloud before giving up.
+    clamped inside the domain.  Each target starts from the point of a fixed
+    polar seed cloud whose image is nearest to it, so a few steps usually
+    suffice; at most 50 are taken.
 
     Parameters
     ----------
@@ -296,9 +285,6 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
         Must be sense-preserving near the solution.
     w : complex scalar or ndarray
         Target value(s).
-    seed : complex scalar or ndarray, optional
-        Starting point(s); seeds outside the domain are pulled back inside.
-        Defaults to the nearest point of the seed cloud.
     tol : float
         Relative residual bound ``|f(z) - w| <= tol * max(1, |w|)``
         (default 1e-12).  Scaling by the image size keeps the bound above
@@ -309,7 +295,7 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
     DomainError
         If a target is not finite.
     InversionError
-        If some target still exceeds its bound after the retry.
+        If some target still exceeds its bound after the last step.
     """
     scalar = np.ndim(w) == 0
     wv = np.atleast_1d(np.asarray(w, dtype=complex)).ravel()
@@ -317,18 +303,7 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
         raise DomainError(f"cannot invert at non-finite target w = {wv[~np.isfinite(wv)][0]}")
     clamp = f.domain_radius * (1.0 - 1e-9)
     bound = tol * np.maximum(1.0, np.abs(wv))
-    if seed is None:
-        z0 = _nearest_seeds(_seed_cloud(f, clamp), wv)
-    else:
-        z0 = _clamped(np.broadcast_to(np.asarray(seed, dtype=complex), wv.shape), clamp)
-    z, res = _newton_sweep(f, wv, z0, bound, max_iter, clamp)
-    stuck = np.flatnonzero(res > bound)
-    if seed is not None and stuck.size:
-        z2, res2 = _newton_sweep(f, wv[stuck], _nearest_seeds(_seed_cloud(f, clamp), wv[stuck]),
-                                 bound[stuck], max_iter, clamp)
-        better = res2 < res[stuck]
-        z[stuck[better]] = z2[better]
-        res[stuck[better]] = res2[better]
+    z, res = _newton_sweep(f, wv, _nearest_seeds(_seed_cloud(f, clamp), wv), bound, clamp)
     if np.any(res > bound):
         k = int(np.argmax(res / bound))
         raise InversionError(
@@ -340,7 +315,7 @@ def invert(f: HarmonicMap, w, seed=None, tol=1e-12, max_iter=50):
     return shaped
 
 
-def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
+def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
     """The inverse of a univalent harmonic map as a Wirtinger bundle.
 
     Partials come from inverting the differential at ``z = f^{-1}(w)``:
@@ -358,7 +333,7 @@ def inverse_wirtinger(f: HarmonicMap, tol=1e-12) -> WirtingerFunction:
         hit = last[0]
         if hit is not None and np.array_equal(hit[0], w):
             return hit[1]
-        z = invert(f, w, tol=tol)
+        z = invert(f, w)
         last[0] = (w.copy(), z)
         return z
 

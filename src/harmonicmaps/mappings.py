@@ -77,9 +77,6 @@ class AnalyticFunction:
         for name in ("eval", "deriv"):
             object.__setattr__(self, name, _array_kernel(getattr(self, name)))
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 def constant_function(value=0.0, description="constant"):
     """Analytic function with constant value (derivative identically zero)."""
@@ -200,28 +197,25 @@ class WirtingerFunction:
         for name in ("eval", "dw", "dwbar"):
             object.__setattr__(self, name, _array_kernel(getattr(self, name)))
 
-    def __call__(self, w, wbar=None):
-        return self.eval(w, np.conj(w) if wbar is None else wbar)
 
-
-def linear_wirtinger(a, b, domain="plane"):
+def linear_wirtinger(a, b):
     """The function ``phi(w, wbar) = a*w + b*wbar`` with constant partials."""
     a, b = complex(a), complex(b)
     return WirtingerFunction(
         eval=lambda w, wbar: a * w + b * wbar,
         dw=lambda w, wbar: np.full_like(w, a),
         dwbar=lambda w, wbar: np.full_like(w, b),
-        domain=domain,
+        domain="plane",
     )
 
 
-def analytic_wirtinger(fn: AnalyticFunction, domain="image domain"):
+def analytic_wirtinger(fn: AnalyticFunction):
     """View an analytic ``phi(w)`` as a Wirtinger function (d/d(conj w) = 0)."""
     return WirtingerFunction(
         eval=lambda w, wbar: fn.eval(w),
         dw=lambda w, wbar: fn.deriv(w),
         dwbar=lambda w, wbar: np.zeros_like(w),
-        domain=domain,
+        domain="image domain",
     )
 
 
@@ -265,10 +259,10 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def _check_domain(f, z, slack=0.0):
+def _check_domain(f, z):
     radius = f.domain_radius if isinstance(f, (HarmonicMap, AnalyticFunction)) else float(f)
     zmax = np.max(np.abs(z))
-    if zmax >= radius + slack:
+    if zmax >= radius:
         raise DomainError(f"|z| = {zmax:.6g} outside domain radius {radius:.6g}")
 
 
@@ -324,31 +318,31 @@ def composed_wirtinger(f: HarmonicMap, phi: WirtingerFunction, z):
 # Finite-difference consistency checks (the validation oracle for evaluator
 # bundles; all reported errors are relative).
 
-def derivative_consistency(fn: AnalyticFunction, points, step=FD_STEP):
+def derivative_consistency(fn: AnalyticFunction, points):
     """Max relative deviation of ``fn.deriv`` from a central difference of ``fn.eval``."""
     z = np.asarray(points, dtype=complex)
-    fd = (fn.eval(z + step) - fn.eval(z - step)) / (2.0 * step)
+    fd = (fn.eval(z + FD_STEP) - fn.eval(z - FD_STEP)) / (2.0 * FD_STEP)
     an = fn.deriv(z)
     scale = np.maximum(np.abs(an), 1.0)
     return float(np.max(np.abs(fd - an) / scale))
 
 
-def wirtinger_fd(func, w, step=FD_STEP):
+def wirtinger_fd(func, w):
     """Finite-difference Wirtinger partials of ``w -> func(w, conj w)``.
 
     Uses d/dw = (d/dx - i d/dy)/2 and d/d(conj w) = (d/dx + i d/dy)/2.
     """
     w = np.asarray(w, dtype=complex)
-    fx = (func(w + step, np.conj(w + step)) - func(w - step, np.conj(w - step))) / (2.0 * step)
-    fy = (func(w + 1j * step, np.conj(w + 1j * step)) - func(w - 1j * step, np.conj(w - 1j * step))) / (2.0 * step)
+    fx, fy = ((func(w + d, np.conj(w + d)) - func(w - d, np.conj(w - d))) / (2.0 * FD_STEP)
+              for d in (FD_STEP, 1j * FD_STEP))
     return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
 
 
-def composition_fd(f: HarmonicMap, phi: WirtingerFunction, z, step=FD_STEP):
+def composition_fd(f: HarmonicMap, phi: WirtingerFunction, z):
     """Finite-difference partials of ``z -> phi(f(z), conj f(z))`` for cross-checks."""
 
-    def psi(z_, zbar_unused=None):
-        w = f.h.eval(z_) + np.conj(f.g.eval(z_))
+    def psi(u, ubar):
+        w = f.h.eval(u) + np.conj(f.g.eval(u))
         return phi.eval(w, np.conj(w))
 
-    return wirtinger_fd(lambda u, ubar: psi(u), z, step=step)
+    return wirtinger_fd(psi, z)

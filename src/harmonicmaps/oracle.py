@@ -248,10 +248,13 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     intersect), and the winding number of the polyline about its centroid is
     reported alongside (1 for a simple positively-oriented image).  A
     polyline of fewer than four vertices is degenerate (violated), and a
-    non-finite image makes the verdict inconclusive.
+    non-finite image makes the verdict inconclusive.  ``rho`` must be
+    positive; a circle outside the domain raises :class:`DomainError`.
     """
     if n < 64:
         raise ValueError("need at least 64 circle points")
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got {rho}")
     grid = {"kind": "circle", "rho": float(rho), "n": int(n)}
     circle = rho * np.exp(2j * np.pi * np.arange(n) / n)
     vals = eval_map(f, circle)

@@ -40,33 +40,31 @@ def _path(points, stroke, width, dashed=False) -> str:
             f'stroke-width="{_fmt(width)}" fill="none"{dash}/>')
 
 
-def disk_image_curves(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
-                      n_circles: int = N_CIRCLES, n_rays: int = N_RAYS):
+def disk_image_curves(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX):
     """Image polylines of concentric circles and radial rays under f.
 
     Returns ``(circles, rays)``: lists of complex ndarrays.  Circle radii are
-    ``rho_max * j / n_circles`` (j = 1..n_circles); rays run from the origin
-    to radius rho_max along ``n_rays`` equispaced directions.
+    ``rho_max * j / N_CIRCLES`` (j = 1..N_CIRCLES); rays run from the origin
+    to radius rho_max along ``N_RAYS`` equispaced directions.
     """
     if not 0.0 < rho_max < f.domain_radius:
         raise ValueError(f"rho_max must lie in (0, {f.domain_radius:g}), got {rho_max}")
-    circles = [eval_map(f, rho_max * (j / n_circles) * _UNIT_CIRCLE)
-               for j in range(1, n_circles + 1)]
+    circles = [eval_map(f, rho_max * (j / N_CIRCLES) * _UNIT_CIRCLE)
+               for j in range(1, N_CIRCLES + 1)]
     radii = rho_max * np.arange(RAY_SAMPLES + 1) / RAY_SAMPLES
-    rays = [eval_map(f, radii * np.exp(2j * np.pi * k / n_rays))
-            for k in range(n_rays)]
+    rays = [eval_map(f, radii * np.exp(2j * np.pi * k / N_RAYS))
+            for k in range(N_RAYS)]
     return circles, rays
 
 
 def svg_document(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
-                 n_circles: int = N_CIRCLES, n_rays: int = N_RAYS,
                  draw_slit: bool = False) -> str:
     """Self-contained SVG of the disk image under f (deterministic bytes).
 
     ``draw_slit`` adds the reference ray (-infinity, -1] clipped to the
     viewport, for maps whose image is known to avoid it.
     """
-    circles, rays = disk_image_curves(f, rho_max, n_circles, n_rays)
+    circles, rays = disk_image_curves(f, rho_max)
     pts = np.concatenate(circles + rays)
     xs = np.concatenate([np.real(pts), [-1.0, 1.0]])
     ys = np.concatenate([-np.imag(pts), [-1.0, 1.0]])

@@ -465,6 +465,13 @@ def test_spec_file_indirection(capsys, tmp_path):
     (["check", "--named", "h0", "--criterion", "oracle", "--n", "50", "--tol", "-1"],
      "tol"),
     (["check", "--named", "h0", "--criterion", "oracle", "--n", "20"], "50 sample points"),
+    (["check", "--named", "h0", "--criterion", "oracle", "--rho", "0"], "rho"),
+    (["check", "--named", "h0", "--criterion", "theorem1", "--phi", "linear",
+      "--n-epsilon", "2"], "unimodular directions"),
+    (["check", "--named", "h0", "--criterion", "theoremA", "--n-gamma", "4"],
+     "rotation candidates"),
+    (["check", "--named", "h0", "--criterion", "theoremB", "--n-gamma", "4"],
+     "rotation candidates"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

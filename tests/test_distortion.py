@@ -65,6 +65,10 @@ def test_c_domain_errors():
         c_of_r(-0.1, 3.0)
     with pytest.raises(ValueError):
         c_of_r(0.5, 0.5)
+    with pytest.raises(DomainError):
+        c_of_r(np.nan, 3.0)
+    with pytest.raises(ValueError, match="alpha"):
+        c_of_r(0.5, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,8 @@ def test_pairwise_bound_input_validation():
         check_pairwise_bound(f, 1.5)
     with pytest.raises(ValueError):
         check_pairwise_bound(f, 0.5, n=4)
+    with pytest.raises(ValueError, match="alpha"):
+        check_pairwise_bound(gallery_get("h0"), 0.5, alpha=np.nan)
 
 
 def test_pairwise_bound_report_shape():

@@ -13,7 +13,6 @@ from harmonicmaps import (
     HarmonicMap,
     InversionError,
     StructuralParams,
-    build_big_phi,
     build_phi,
     big_phi_function,
     check_corollary1,
@@ -233,12 +232,12 @@ def test_big_phi_identity_is_identity():
                          deriv=lambda z: np.ones_like(np.asarray(z, dtype=complex)),
                          description="z")
     w = 0.3 + 0.2j
-    assert_allclose(build_big_phi(f, lambda w: 1.0 + 0.0j, 0.0, w), w,
+    assert_allclose(big_phi_function(f, lambda w: 1.0 + 0.0j, 0.0).eval(w), w,
                     rtol=0, atol=1e-10)
-    assert_allclose(build_big_phi(f, lambda w: 2.0 + 0.0j, 0.0, 0.4 + 0.0j),
+    assert_allclose(big_phi_function(f, lambda w: 2.0 + 0.0j, 0.0).eval(0.4 + 0.0j),
                     0.2, rtol=0, atol=1e-10)
     # A quarter-turn rotation divides the value by i.
-    assert_allclose(build_big_phi(f, lambda w: 1.0 + 0.0j, np.pi / 2.0, w),
+    assert_allclose(big_phi_function(f, lambda w: 1.0 + 0.0j, np.pi / 2.0).eval(w),
                     -1j * w, rtol=0, atol=1e-10)
 
 
@@ -246,7 +245,7 @@ def test_big_phi_rejects_vanishing_phi_prime():
     f = AnalyticFunction(eval=lambda z: np.asarray(z, dtype=complex),
                          deriv=lambda z: np.ones_like(np.asarray(z, dtype=complex)))
     with pytest.raises(SingularDerivativeError):
-        build_big_phi(f, lambda w: 0.0 + 0.0j, 0.0, 0.3 + 0.0j)
+        big_phi_function(f, lambda w: 0.0 + 0.0j, 0.0).eval(0.3 + 0.0j)
 
 
 def test_big_phi_koebe_closure():
@@ -299,23 +298,16 @@ def test_invert_roundtrip(name, params, r):
     assert back.shape == z.shape
 
 
-def test_invert_accepts_seed_and_preserves_shape():
+def test_invert_preserves_shape():
     f = gallery_get("h0")
     w = eval_map(f, np.array([[0.1 + 0.1j, 0.2j], [0.3, -0.25 + 0.1j]]))
-    z = invert(f, w, seed=0.5 + 0.0j)
+    z = invert(f, w)
     assert z.shape == (2, 2)
     assert_allclose(eval_map(f, z), w, rtol=0, atol=1e-11)
-    # A seed outside the domain is pulled back inside rather than rejected.
-    assert_allclose(invert(f, 0.625 + 0.0j, seed=5.0 + 0.0j), 0.5,
-                    rtol=0, atol=1e-10)
-
-
-def test_invert_retries_stalled_seed_from_cloud():
-    # From 0.99i, Newton on the Koebe map stalls near z = -1, where the image
-    # runs off to infinity; the retry from the seed cloud still converges.
-    f = gallery_get("koebe")
-    w = complex(eval_map(f, 0.95 + 0.0j))
-    assert_allclose(invert(f, w, seed=0.99j), 0.95, rtol=0, atol=1e-10)
+    # A scalar target gives a scalar preimage.
+    z0 = invert(f, 0.625 + 0.0j)
+    assert isinstance(z0, complex)
+    assert_allclose(z0, 0.5, rtol=0, atol=1e-10)
 
 
 def test_invert_unreachable_target_raises():

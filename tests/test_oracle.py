@@ -174,6 +174,10 @@ def test_curve_three_vertex_image_is_degenerate():
 def test_curve_needs_resolution():
     with pytest.raises(ValueError):
         curve_simplicity(gallery_get("identity"), 0.5, n=32)
+    # A zero or NaN radius is bad input, not a degenerate image.
+    for rho in (0.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="rho"):
+            curve_simplicity(gallery_get("identity"), rho)
 
 
 # ---------------------------------------------------------------------------
