@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .construct import budget_audit, conjugate_z_perturbation, construct as build_map
+from .construct import _min_slack, budget_audit, conjugate_z_perturbation
+from .construct import construct as build_map
 from .criteria import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
@@ -52,8 +53,6 @@ from .mappings import (
 )
 from .oracle import curve_simplicity, injectivity_scan, jacobian_positivity_scan
 from .render import DEFAULT_RHO_MAX, svg_document
-
-CRITERIA = ("theorem1", "corollary1", "theoremA", "theoremB", "philike", "oracle")
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -112,11 +111,12 @@ def _analytic_part(f: HarmonicMap, what: str) -> AnalyticFunction:
 
 
 def _parse_complex_flag(text: str, what: str) -> complex:
+    re_s, _, im_s = text.partition(",")
     try:
-        re_s, _, im_s = text.partition(",")
-        return complex(float(re_s), float(im_s or 0.0))
+        parts = float(re_s), float(im_s or 0.0)
     except ValueError as exc:
         raise ValueError(f"{what} expects re[,im], got {text!r}") from exc
+    return complex(*(jsonio._finite_real(x, what) for x in parts))
 
 
 def _phi_from_args(args, f: HarmonicMap):
@@ -135,100 +135,88 @@ def _perturbation_from_args(args):
     return jsonio.perturbation_from_spec(_load_json_arg(args.pert_spec, "perturbation spec"))
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(jsonio.dumps(payload) + "\n")
-
-
 def _verdict_exit(verdict) -> int:
     return {VERDICT_HOLDS: EXIT_HOLDS, VERDICT_VIOLATED: EXIT_VIOLATED}.get(verdict, EXIT_INPUT)
 
 
-def _invocation(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _check_philike(args, f, grid):
+    fn = _analytic_part(f, "the ratio test")
+    alpha = jsonio._finite_real(args.spiral_alpha, "--spiral-alpha")
+    Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
+    return check_philike(fn, Phi, grid)
 
 
-def cmd_check(args) -> int:
+def _check_theoremB(args, f, grid):
+    G = _analytic_part(gallery_get(args.G_named), f"comparison map {args.G_named!r}")
+    return check_theoremB(f, G, grid, n_gamma=args.n_gamma)
+
+
+# The call behind each criterion but the oracle: (args, f, grid) -> CheckReport.
+_CRITERION_CALLS = {
+    "theorem1": lambda args, f, grid: check_theorem1(f, _phi_from_args(args, f), grid,
+                                                     n_epsilon=args.n_epsilon),
+    "corollary1": lambda args, f, grid: check_corollary1(f, _phi_from_args(args, f), grid),
+    "theoremA": lambda args, f, grid: check_theoremA(f, grid, n_gamma=args.n_gamma),
+    "theoremB": _check_theoremB,
+    "philike": _check_philike,
+}
+CRITERIA = (*_CRITERION_CALLS, "oracle")
+
+
+def _check_oracle(args, f, grid):
+    """Injectivity, Jacobian and boundary-curve scans combined: the worst verdict wins."""
+    inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
+    jac = jacobian_positivity_scan(f, grid)
+    rho = min(jsonio._finite_real(args.rho, "--rho"), 0.99 * f.domain_radius)
+    curve = curve_simplicity(f, rho=rho, n=max(64, args.n // 2))
+    sub = [inj, jac, curve]
+    verdict = min((r.verdict for r in sub),
+                  key=(VERDICT_VIOLATED, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index)
+    conclusive = [r.margin for r in sub if r.verdict != VERDICT_INCONCLUSIVE]
+    payload = {
+        "criterion": "oracle",
+        "verdict": verdict,
+        "margin": float("nan") if verdict == VERDICT_INCONCLUSIVE else min(conclusive),
+        "reports": [r.to_dict() for r in sub],
+    }
+    return payload, ("named", "criterion", "n", "r_max", "tol", "rho"), _verdict_exit(verdict)
+
+
+# A JSON subcommand returns (payload, invocation keys or None, exit code);
+# main adds the schema version and the invocation record and writes it.
+
+def cmd_check(args):
     f = _map_from_args(args)
     grid = _grid_from_args(args)
-    if args.criterion == "corollary1":
-        report = check_corollary1(f, _phi_from_args(args, f), grid)
-    elif args.criterion == "theorem1":
-        report = check_theorem1(f, _phi_from_args(args, f), grid,
-                                n_epsilon=args.n_epsilon)
-    elif args.criterion == "theoremA":
-        report = check_theoremA(f, grid, n_gamma=args.n_gamma)
-    elif args.criterion == "theoremB":
-        G = _analytic_part(gallery_get(args.G_named), f"comparison map {args.G_named!r}")
-        report = check_theoremB(f, G, grid, n_gamma=args.n_gamma)
-    elif args.criterion == "philike":
-        fn = _analytic_part(f, "the ratio test")
-        alpha = float(args.spiral_alpha)
-        Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
-        report = check_philike(fn, Phi, grid)
-    else:  # oracle
-        inj = injectivity_scan(f, n_points=args.n, r_max=args.r_max, tol=args.tol)
-        jac = jacobian_positivity_scan(f, grid)
-        rho = min(args.rho, 0.99 * f.domain_radius)
-        curve = curve_simplicity(f, rho=rho, n=max(64, args.n // 2))
-        sub = [inj, jac, curve]
-        verdict = min((r.verdict for r in sub),
-                      key=(VERDICT_VIOLATED, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index)
-        conclusive = [r.margin for r in sub if r.verdict != VERDICT_INCONCLUSIVE]
-        payload = {
-            "schema_version": jsonio.SCHEMA_VERSION,
-            "criterion": "oracle",
-            "verdict": verdict,
-            "margin": float("nan") if verdict == VERDICT_INCONCLUSIVE else min(conclusive),
-            "reports": [r.to_dict() for r in sub],
-            "invocation": _invocation(args, ("named", "criterion", "n", "r_max",
-                                             "tol", "rho")),
-        }
-        _emit(payload)
-        return _verdict_exit(verdict)
-    payload = report.to_dict()
-    payload["invocation"] = _invocation(
-        args, ("named", "criterion", "n_radial", "n_angular", "r_max",
-               "n_epsilon", "n_gamma", "phi", "G_named", "spiral_alpha"))
-    _emit(payload)
-    return _verdict_exit(report.verdict)
+    if args.criterion == "oracle":
+        return _check_oracle(args, f, grid)
+    report = _CRITERION_CALLS[args.criterion](args, f, grid)
+    return (report.to_dict(),
+            ("named", "criterion", "n_radial", "n_angular", "r_max",
+             "n_epsilon", "n_gamma", "phi", "G_named", "spiral_alpha"),
+            _verdict_exit(report.verdict))
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     f = _map_from_args(args)
     pert = _perturbation_from_args(args)
-    grid = _grid_from_args(args)
-    audit = budget_audit(f, pert, args.r, args.alpha, grid)
-    payload = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "C_r": audit["C_r"],
-        "m_r": audit["m_r"],
-        "m_0": audit["m_0"],
-        "A": audit["A"],
-        "alpha": audit["alpha"],
-        # The headline budget carries the documented 1% safety haircut;
-        # the raw formula value is reported alongside.
-        "epsilon0": audit["epsilon0_safe"],
-        "epsilon0_raw": audit["epsilon0"],
-        "rigor_note": audit["rigor_note"],
-        "invocation": _invocation(args, ("named", "r", "alpha", "pert",
-                                         "n_radial", "n_angular", "r_max")),
-    }
-    _emit(payload)
-    return EXIT_HOLDS
+    audit = budget_audit(f, pert, args.r, args.alpha, _grid_from_args(args))
+    # The headline budget carries the documented 1% safety haircut;
+    # the raw formula value is reported alongside.
+    audit["epsilon0_raw"] = audit["epsilon0"]
+    audit["epsilon0"] = audit.pop("epsilon0_safe")
+    return audit, ("named", "r", "alpha", "pert", "n_radial", "n_angular", "r_max"), EXIT_HOLDS
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     f = _map_from_args(args)
     pert = _perturbation_from_args(args)
     grid = _grid_from_args(args)
     result = build_map(f, pert, args.r, args.eps, alpha=args.alpha,
                        grid=grid, unsafe=args.unsafe)
-    F = result.F
-    cert_pts = grid.points()
-    cert = float(np.min(np.abs(F.h.deriv(cert_pts)) - np.abs(F.g.deriv(cert_pts))))
+    cert = float(np.min(_min_slack(result.F, grid.points())))
     payload = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "label": F.label,
+        "label": result.F.label,
         "epsilon_used": result.epsilon_used,
         "epsilon_budget": result.epsilon_budget,
         "m_r": result.m_r,
@@ -238,14 +226,12 @@ def cmd_construct(args) -> int:
         "alpha": result.alpha_used,
         "local_univalence_margin": cert,
         "rigor_note": result.rigor_note,
-        "invocation": _invocation(args, ("named", "r", "eps", "alpha", "pert",
-                                         "unsafe")),
     }
-    _emit(payload)
-    return EXIT_HOLDS if cert > 0.0 else EXIT_VIOLATED
+    return (payload, ("named", "r", "eps", "alpha", "pert", "unsafe"),
+            EXIT_HOLDS if cert > 0.0 else EXIT_VIOLATED)
 
 
-def cmd_herglotz(args) -> int:
+def cmd_herglotz(args):
     mu = jsonio.measure_from_dict(_load_json_arg(args.measure, "measure"))
     params = jsonio.structural_params_from_dict(
         _load_json_arg(args.params, "structural params") if args.params else {})
@@ -257,21 +243,19 @@ def cmd_herglotz(args) -> int:
     phi_vals = build_phi(lambda w: invert(HarmonicMap.from_analytic(fn), w),
                          mu, params, sample_w)
     payload = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "max_identity_deviation": deviation,
         "tolerance": HERGLOTZ_TOL,
         "phi_samples": [{"w": jsonio.complex_to_pair(w), "phi": jsonio.complex_to_pair(p)}
                         for w, p in zip(sample_w, phi_vals)],
         "measure": mu.to_dict(),
-        "params": {"c": params.c, "c1": params.c1,
-                   "c0": jsonio.complex_to_pair(params.c0)},
-        "invocation": _invocation(args, ("named", "n_radial", "n_angular", "r_max")),
+        "params": vars(params),
     }
-    _emit(payload)
-    return EXIT_HOLDS if deviation <= HERGLOTZ_TOL else EXIT_VIOLATED
+    return (payload, ("named", "n_radial", "n_angular", "r_max"),
+            EXIT_HOLDS if deviation <= HERGLOTZ_TOL else EXIT_VIOLATED)
 
 
 def cmd_render(args) -> int:
+    """Write the SVG and print its path; the one subcommand without a JSON report."""
     f = _map_from_args(args)
     slit_named = {"h1", "h_r", "F_eps", "f_eps"}
     draw_slit = args.slit or (getattr(args, "named", None) in slit_named)
@@ -286,9 +270,8 @@ def cmd_render(args) -> int:
     return EXIT_HOLDS
 
 
-def cmd_gallery_list(args) -> int:
-    _emit({"schema_version": jsonio.SCHEMA_VERSION, "gallery": list_entries()})
-    return EXIT_HOLDS
+def cmd_gallery_list(args):
+    return {"gallery": list_entries()}, None, EXIT_HOLDS
 
 
 def _add_map_flags(p: argparse.ArgumentParser) -> None:
@@ -304,6 +287,17 @@ def _add_grid_flags(p: argparse.ArgumentParser, r_max=0.95) -> None:
     p.add_argument("--r-max", type=float, default=r_max, dest="r_max")
 
 
+def _add_budget_flags(p: argparse.ArgumentParser, with_eps=False) -> None:
+    """The perturbation-budget inputs shared by bound and construct."""
+    p.add_argument("--r", type=float, required=True)
+    if with_eps:
+        p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--pert", choices=("conj", "series"), default="conj")
+    p.add_argument("--pert-spec", dest="pert_spec",
+                   help='series perturbation JSON {"p":[...],"q":[...],"A":sup}')
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="harmonicmaps",
@@ -311,9 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "disk-image rendering for planar harmonic mappings.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("check", help="run a criterion or oracle scan")
-    _add_map_flags(pc)
-    _add_grid_flags(pc)
+    def command(name, func, help_text, *flag_groups):
+        p = sub.add_parser(name, help=help_text)
+        for add_flags in flag_groups:
+            add_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    pc = command("check", cmd_check, "run a criterion or oracle scan",
+                 _add_map_flags, _add_grid_flags)
     pc.add_argument("--criterion", choices=CRITERIA, required=True)
     pc.add_argument("--n-epsilon", type=int, default=64, dest="n_epsilon",
                     help="unimodular directions for the directional criterion")
@@ -335,49 +335,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oracle: image-collision threshold")
     pc.add_argument("--rho", type=float, default=0.9,
                     help="oracle: circle radius for the simplicity scan")
-    pc.set_defaults(func=cmd_check)
 
-    pb = sub.add_parser("bound", help="perturbation budget for f, phi, r, alpha")
-    _add_map_flags(pb)
-    _add_grid_flags(pb)
-    pb.add_argument("--r", type=float, required=True)
-    pb.add_argument("--alpha", type=float, default=3.0)
-    pb.add_argument("--pert", choices=("conj", "series"), default="conj")
-    pb.add_argument("--pert-spec", dest="pert_spec",
-                    help='series perturbation JSON {"p":[...],"q":[...],"A":sup}')
-    pb.set_defaults(func=cmd_bound)
+    command("bound", cmd_bound, "perturbation budget for f, phi, r, alpha",
+            _add_map_flags, _add_grid_flags, _add_budget_flags)
 
-    pk = sub.add_parser("construct", help="build f(rz) + eps*phi(z) within budget")
-    _add_map_flags(pk)
-    _add_grid_flags(pk)
-    pk.add_argument("--r", type=float, required=True)
-    pk.add_argument("--eps", type=float, required=True)
-    pk.add_argument("--alpha", type=float, default=3.0)
-    pk.add_argument("--pert", choices=("conj", "series"), default="conj")
-    pk.add_argument("--pert-spec", dest="pert_spec")
+    pk = command("construct", cmd_construct, "build f(rz) + eps*phi(z) within budget",
+                 _add_map_flags, _add_grid_flags,
+                 lambda p: _add_budget_flags(p, with_eps=True))
     pk.add_argument("--unsafe", action="store_true",
                     help="permit eps at or beyond the verified budget")
-    pk.set_defaults(func=cmd_construct)
 
-    ph = sub.add_parser("herglotz", help="structural derivative-identity check")
-    _add_map_flags(ph)
-    _add_grid_flags(ph, r_max=0.8)
+    ph = command("herglotz", cmd_herglotz, "structural derivative-identity check",
+                 _add_map_flags, lambda p: _add_grid_flags(p, r_max=0.8))
     ph.add_argument("--measure", required=True,
                     help='measure JSON {"atoms":[[theta,weight],...]}, inline or @file')
     ph.add_argument("--params",
                     help='structural params JSON {"c":..,"c1":..,"c0":[re,im]}')
-    ph.set_defaults(func=cmd_herglotz)
 
-    pr = sub.add_parser("render", help="write an SVG of the disk image")
-    _add_map_flags(pr)
+    pr = command("render", cmd_render, "write an SVG of the disk image", _add_map_flags)
     pr.add_argument("--rho-max", type=float, default=DEFAULT_RHO_MAX, dest="rho_max")
     pr.add_argument("--out", help="output path (default <name>.svg)")
     pr.add_argument("--slit", action="store_true",
                     help="draw the reference ray (-inf, -1]")
-    pr.set_defaults(func=cmd_render)
 
-    pg = sub.add_parser("gallery-list", help="list named example maps")
-    pg.set_defaults(func=cmd_gallery_list)
+    command("gallery-list", cmd_gallery_list, "list named example maps")
     return ap
 
 
@@ -391,7 +372,16 @@ def main(argv=None) -> int:
     # The one input-error boundary: every ValueError or package error raised
     # on the way from the command line to a report is bad input, exit 2.
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # render writes its own output
+            return result
+        payload, keys, code = result
+        report = {"schema_version": jsonio.SCHEMA_VERSION, **payload}
+        if keys is not None:
+            report["invocation"] = {k: getattr(args, k) for k in keys
+                                    if getattr(args, k) is not None}
+        sys.stdout.write(jsonio.dumps(report) + "\n")
+        return code
     except (ValueError, HarmonicMapsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -135,12 +135,13 @@ def estimate_m(f: HarmonicMap, r: float, grid: GridSpec = DEFAULT_GRID) -> float
     ----------
     f : HarmonicMap
     r : float
-        Disk radius, ``0 <= r < 1`` (r=0 degenerates to the center value).
+        Disk radius, ``0 <= r < f.domain_radius`` (r=0 degenerates to the
+        center value).
     grid : GridSpec
         Resolution reused on the smaller disk via its r_max override.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    if not 0.0 <= r < f.domain_radius:
+        raise DomainError(f"radius must lie in [0, {f.domain_radius:g}), got {r}")
     pts = grid.points(r_max=r)
     vals = np.asarray(_min_slack(f, pts), dtype=float)
     k = int(np.argmin(vals))

@@ -34,7 +34,7 @@ class OrderParam:
     """Valence/convexity order ``alpha`` together with where it came from.
 
     ``provenance`` is one of ``"analytic-case"`` (alpha == 2),
-    ``"harmonic-default"`` (alpha >= 3) or ``"user"`` (any alpha >= 1).
+    ``"harmonic-default"`` (alpha >= 3) or ``"user"`` (any finite alpha >= 1).
     """
 
     alpha: float
@@ -45,6 +45,8 @@ class OrderParam:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if not self.alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if self.alpha == np.inf:
+            raise ValueError("alpha must be finite, got inf")
         if self.provenance == "analytic-case" and self.alpha != 2.0:
             raise ValueError("analytic-case order is exactly 2")
         if self.provenance == "harmonic-default" and self.alpha < 3.0:
@@ -94,12 +96,13 @@ def psi(x, alpha=3.0):
     ``psi(1) = alpha``; this monotonicity is what makes the separation
     constant worst at the hyperbolic midpoint.
     """
+    a = _coerce_alpha(alpha).alpha
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0) or np.any(xv > 1.0):
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
         raise DomainError("psi is defined on [0, 1]")
     safe = np.where(xv < 1.0, xv, 0.5)
-    val = (1.0 - safe ** alpha) / (1.0 - safe)
-    out = np.where(xv < 1.0, val, float(alpha))
+    val = (1.0 - safe ** a) / (1.0 - safe)
+    out = np.where(xv < 1.0, val, a)
     return out if np.ndim(x) else float(out)
 
 
@@ -110,10 +113,11 @@ def sheil_small_lower(z, alpha=3.0):
     (or ``|h'| - |g'|``) from below; it is the integrand whose integration
     along hyperbolic geodesics produces :func:`c_of_r`.
     """
-    a = np.abs(np.asarray(z))
-    if np.any(a >= 1.0):
+    a = _coerce_alpha(alpha).alpha
+    rho = np.abs(np.asarray(z))
+    if not np.all(rho < 1.0):
         raise DomainError("bound applies inside the unit disk")
-    out = (1.0 - a) ** (alpha - 1.0) / (1.0 + a) ** (alpha + 1.0)
+    out = (1.0 - rho) ** (a - 1.0) / (1.0 + rho) ** (a + 1.0)
     return out if np.ndim(z) else float(out)
 
 
@@ -132,6 +136,7 @@ def star_inequality_check(z1, z2, r, alpha=3.0):
     The equal-modulus precondition is enforced to 1e-12: off-circle pairs are
     outside the inequality's domain of validity, not merely untested.
     """
+    alpha = _coerce_alpha(alpha).alpha
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if not 0.0 < r < 1.0:

@@ -38,3 +38,6 @@ class InapplicableError(HarmonicMapsError):
 
 class GalleryLookupError(HarmonicMapsError, KeyError):
     """Unknown gallery name or missing/invalid parameters."""
+
+    # The message as given, without KeyError's quotes.
+    __str__ = Exception.__str__

@@ -11,14 +11,17 @@ The registry holds the worked examples every test and CLI command leans on:
 * its dilations ``h_r(z) = h1(r z)`` and the perturbed maps
   ``F_eps = h_r + eps*conj(z)`` and ``f_eps = (1+eps)*h_r + eps*conj(z)``.
 
-Every entry is validated at build time: analytic derivatives are checked
-against central finite differences, and the two square-root arguments of h1
-are sampled across the disk to prove they stay clear of the branch cut
-(a silent branch flip would corrupt every downstream check).
+Every lookup is validated: the derivatives of both parts are checked
+against central finite differences, and (once per process) the two
+square-root arguments of h1 are sampled across the disk to prove they stay
+clear of the branch cut (a silent branch flip would corrupt every downstream
+check).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,56 +51,25 @@ class GalleryEntry:
     notes: str
     builder: Callable
 
-    def describe(self) -> dict:
-        return {"name": self.name,
-                "params": list(self.required_params),
-                "notes": self.notes}
 
-
-def _validated(fn: AnalyticFunction) -> AnalyticFunction:
+def _validate(fn: AnalyticFunction) -> None:
     """Check fn.deriv against finite differences on a fixed disk sample."""
     pts = sunflower_points(60, 0.9 * fn.domain_radius)
     err = derivative_consistency(fn, pts)
     if err > _FD_TOL:
         raise ValueError(f"derivative of '{fn.description}' disagrees with "
                          f"finite differences (rel. err {err:.2e})")
-    return fn
-
-
-def _cayley() -> HarmonicMap:
-    fn = AnalyticFunction(
-        eval=lambda z: z / (1.0 - z),
-        deriv=lambda z: 1.0 / (1.0 - z) ** 2,
-        description="z/(1-z)",
-    )
-    return HarmonicMap.from_analytic(_validated(fn), label="cayley", normalized=True)
-
-
-def _koebe() -> HarmonicMap:
-    fn = AnalyticFunction(
-        eval=lambda z: z / (1.0 - z) ** 2,
-        deriv=lambda z: (1.0 + z) / (1.0 - z) ** 3,
-        description="z/(1-z)^2",
-    )
-    return HarmonicMap.from_analytic(_validated(fn), label="koebe", normalized=True)
 
 
 def _h0_function() -> AnalyticFunction:
     return from_series([1.0, 0.5], description="z + z^2/2")
 
 
-def _h0() -> HarmonicMap:
-    return HarmonicMap.from_analytic(_validated(_h0_function()), label="h0",
-                                     normalized=True)
-
-
 def _f_k(k: float) -> HarmonicMap:
     if not 0.0 <= k < 1.0:
         raise GalleryLookupError(f"f_k needs k in [0, 1), got {k}")
-    h = _h0_function()
     g = from_series([k, 0.5 * k], description=f"{k:g}*(z + z^2/2)")
-    return HarmonicMap(h=_validated(h), g=_validated(g),
-                       label=f"f_k(k={k:g})", normalized=(k == 0.0))
+    return HarmonicMap(h=_h0_function(), g=g, label=f"f_k(k={k:g})", normalized=(k == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +112,18 @@ def _assert_off_cut(values, what):
                          "principal square root would flip sheets")
 
 
-_H1_BRANCHES_CHECKED = False
-
-
+@functools.cache
 def _h1_function() -> AnalyticFunction:
-    """h1 with its one-time branch-cut audit over the disk."""
-    global _H1_BRANCHES_CHECKED
-    if not _H1_BRANCHES_CHECKED:
-        pts = np.concatenate([
-            sunflower_points(2000, 0.999),
-            0.999 * np.exp(2j * np.pi * np.arange(720) / 720),
-        ])
-        inner, _, t, _ = _h1_parts(pts)
-        _assert_off_cut(inner, "inner square-root argument of h1")
-        _assert_off_cut(t, "outer square-root argument of h1")
-        _H1_BRANCHES_CHECKED = True
+    """h1, built once, after a branch-cut audit over the disk."""
+    pts = np.concatenate([
+        sunflower_points(2000, 0.999),
+        0.999 * np.exp(2j * np.pi * np.arange(720) / 720),
+    ])
+    inner, _, t, _ = _h1_parts(pts)
+    _assert_off_cut(inner, "inner square-root argument of h1")
+    _assert_off_cut(t, "outer square-root argument of h1")
     return AnalyticFunction(eval=_h1_eval, deriv=_h1_deriv, domain_radius=0.999,
                             description="((1+g)/(1-g))^2 with nested principal roots")
-
-
-def _h1() -> HarmonicMap:
-    return HarmonicMap.from_analytic(_validated(_h1_function()), label="h1")
 
 
 def _h_r_function(r: float) -> AnalyticFunction:
@@ -169,32 +132,8 @@ def _h_r_function(r: float) -> AnalyticFunction:
     return combination([(1.0, _h1_function(), r)], description=f"h1({r:g}z)")
 
 
-def _h_r(r: float) -> HarmonicMap:
-    return HarmonicMap.from_analytic(_validated(_h_r_function(r)),
-                                     label=f"h_r(r={r:g})")
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not np.isfinite(eps):
-        raise GalleryLookupError(f"eps must be finite, got {eps}")
-    return eps
-
-
-def _F_eps(r: float, eps: float) -> HarmonicMap:
-    eps = _check_eps(eps)
-    g = from_series([eps], description=f"{eps:g}*z")
-    return HarmonicMap(h=_validated(_h_r_function(r)), g=g,
-                       label=f"F_eps(r={r:g}, eps={eps:g})")
-
-
-def _f_eps(r: float, eps: float) -> HarmonicMap:
-    eps = _check_eps(eps)
-    scale = 1.0 + eps
-    h = combination([(scale, _h_r_function(r), 1.0)], description=f"{scale:g}*h1({r:g}z)")
-    g = from_series([eps], description=f"{eps:g}*z")
-    return HarmonicMap(h=_validated(h), g=g,
-                       label=f"f_eps(r={r:g}, eps={eps:g})")
+def _eps_z(eps: float) -> AnalyticFunction:
+    return from_series([eps], description=f"{eps:g}*z")
 
 
 _REGISTRY = (
@@ -202,26 +141,38 @@ _REGISTRY = (
                  lambda: HarmonicMap.from_analytic(identity_function(),
                                                    label="identity", normalized=True)),
     GalleryEntry("cayley", (), "half-plane map z/(1-z); convex image",
-                 _cayley),
+                 lambda: HarmonicMap.from_analytic(AnalyticFunction(
+                     eval=lambda z: z / (1.0 - z),
+                     deriv=lambda z: 1.0 / (1.0 - z) ** 2,
+                     description="z/(1-z)"), label="cayley", normalized=True)),
     GalleryEntry("koebe", (), "extremal map z/(1-z)^2 onto a slit plane",
-                 _koebe),
+                 lambda: HarmonicMap.from_analytic(AnalyticFunction(
+                     eval=lambda z: z / (1.0 - z) ** 2,
+                     deriv=lambda z: (1.0 + z) / (1.0 - z) ** 3,
+                     description="z/(1-z)^2"), label="koebe", normalized=True)),
     GalleryEntry("h0", (), "z + z^2/2; derivative 1+z has positive real part",
-                 _h0),
+                 lambda: HarmonicMap.from_analytic(_h0_function(), label="h0",
+                                                   normalized=True)),
     GalleryEntry("f_k", ("k",),
                  "shear h0 + conj(k*h0); univalent (close-to-convex) for k in [0,1)",
                  _f_k),
     GalleryEntry("h1", (),
                  "conformal map onto the outside of the closed unit disk minus "
                  "the ray (-inf, -1]; nested principal square roots",
-                 _h1),
+                 lambda: HarmonicMap.from_analytic(_h1_function(), label="h1")),
     GalleryEntry("h_r", ("r",), "dilation h1(rz), analytic on the closed disk",
-                 _h_r),
+                 lambda r: HarmonicMap.from_analytic(_h_r_function(r),
+                                                     label=f"h_r(r={r:g})")),
     GalleryEntry("F_eps", ("r", "eps"),
                  "perturbed dilation h1(rz) + eps*conj(z)",
-                 _F_eps),
+                 lambda r, eps: HarmonicMap(h=_h_r_function(r), g=_eps_z(eps),
+                                            label=f"F_eps(r={r:g}, eps={eps:g})")),
     GalleryEntry("f_eps", ("r", "eps"),
                  "(1+eps)*h1(rz) + eps*conj(z); affine shear of F_eps",
-                 _f_eps),
+                 lambda r, eps: HarmonicMap(
+                     h=combination([(1.0 + eps, _h_r_function(r), 1.0)],
+                                   description=f"{1.0 + eps:g}*h1({r:g}z)"),
+                     g=_eps_z(eps), label=f"f_eps(r={r:g}, eps={eps:g})")),
 )
 
 _BY_NAME = {e.name: e for e in _REGISTRY}
@@ -234,7 +185,8 @@ def names() -> tuple:
 
 def list_entries() -> list:
     """Descriptors (name, required params, notes) for every gallery map."""
-    return [e.describe() for e in _REGISTRY]
+    return [{"name": e.name, "params": list(e.required_params), "notes": e.notes}
+            for e in _REGISTRY]
 
 
 def get(name: str, params: dict | None = None) -> HarmonicMap:
@@ -250,8 +202,10 @@ def get(name: str, params: dict | None = None) -> HarmonicMap:
     Raises
     ------
     GalleryLookupError
-        Unknown name, missing or unexpected parameters, or out-of-range
-        values.
+        Unknown name, missing or unexpected parameters, or non-finite or
+        out-of-range values.
+    ValueError
+        A part whose derivative disagrees with finite differences.
     """
     entry = _BY_NAME.get(name)
     if entry is None:
@@ -267,5 +221,10 @@ def get(name: str, params: dict | None = None) -> HarmonicMap:
     try:
         args = [float(given[p]) for p in entry.required_params]
     except (TypeError, ValueError):
-        raise GalleryLookupError(f"map {name!r} takes real parameters, got {given}") from None
-    return entry.builder(*args)
+        args = [math.nan]  # not a real number: fails the finiteness test below
+    if not all(map(math.isfinite, args)):
+        raise GalleryLookupError(f"map {name!r} takes finite real parameters, got {given}")
+    f = entry.builder(*args)
+    _validate(f.h)
+    _validate(f.g)
+    return f

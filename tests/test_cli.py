@@ -186,6 +186,8 @@ def test_bound_h0_conjugate_perturbation(capsys):
     assert payload["A"] == 1.0
     assert payload["alpha"] == 2.0
     assert "grid minima" in payload["rigor_note"]
+    assert set(payload) == {"A", "C_r", "alpha", "epsilon0", "epsilon0_raw", "invocation",
+                            "m_0", "m_r", "rigor_note", "schema_version"}
 
 
 def test_bound_identity_alpha3(capsys):
@@ -419,6 +421,7 @@ def test_gallery_list_names_in_order(capsys):
     assert names == ["identity", "cayley", "koebe", "h0", "f_k",
                      "h1", "h_r", "F_eps", "f_eps"]
     assert all("notes" in entry for entry in payload["gallery"])
+    assert set(payload) == {"gallery", "schema_version"}  # no invocation
 
 
 def test_spec_file_indirection(capsys, tmp_path):
@@ -472,6 +475,30 @@ def test_spec_file_indirection(capsys, tmp_path):
      "rotation candidates"),
     (["check", "--named", "h0", "--criterion", "theoremB", "--n-gamma", "4"],
      "rotation candidates"),
+    (["bound", "--named", "h0", "--r", "0.5", "--alpha", "inf"], "alpha must be finite"),
+    (["bound", "--named", "h1", "--r", "0.9995"], "radius must lie in [0, 0.999), got 0.9995"),
+    (["construct", "--named", "h1", "--r", "0.9995", "--eps", "0"],
+     "radius must lie in [0, 0.999), got 0.9995"),
+    (["check", "--named", "h0", "--criterion", "theorem1", "--phi", "linear",
+      "--phi-a", "nan"], "--phi-a must be a finite real number"),
+    (["check", "--named", "h0", "--criterion", "theorem1", "--phi", "linear",
+      "--phi-a", "1,inf"], "--phi-a must be a finite real number"),
+    (["check", "--named", "h0", "--criterion", "corollary1", "--phi", "linear",
+      "--phi-b", "inf"], "--phi-b must be a finite real number"),
+    (["check", "--named", "h0", "--criterion", "theorem1", "--phi", "linear",
+      "--phi-a", "x"], "--phi-a expects re[,im], got 'x'"),
+    (["check", "--named", "koebe", "--criterion", "philike", "--spiral-alpha", "nan"],
+     "--spiral-alpha must be a finite real number"),
+    (["check", "--named", "h0", "--criterion", "oracle", "--rho", "inf"],
+     "--rho must be a finite real number"),
+    (["check", "--named", "f_k", "--param", "k=1.5", "--criterion", "theoremA"],
+     "error: f_k needs k in [0, 1), got 1.5\n"),
+    (["check", "--named", "f_k", "--param", "k=nan", "--criterion", "theoremA"],
+     "finite real parameters"),
+    (["check", "--named", "h_r", "--param", "r=inf", "--criterion", "theoremA"],
+     "finite real parameters"),
+    (["check", "--named", "F_eps", "--param", "r=0.5", "--param", "eps=-inf",
+      "--criterion", "theoremA"], "finite real parameters"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
@@ -491,3 +518,36 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "check" in out and "gallery-list" in out
+    for command in ("check", "bound", "construct", "herglotz", "render", "gallery-list"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: harmonicmaps {command} ")
+        assert ('"A":sup' in out) == (command in ("bound", "construct"))
+
+
+# ---------------------------------------------------------------------------
+# the report envelope
+
+CHECK_KEYS = {"named", "criterion", "n_radial", "n_angular", "r_max",
+              "n_epsilon", "n_gamma", "phi", "G_named", "spiral_alpha"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["check", "--named", "identity", "--criterion", "theoremA"], CHECK_KEYS),
+    (["check", "--named", "identity", "--criterion", "corollary1"], CHECK_KEYS),
+    (["check", "--named", "identity", "--criterion", "oracle", "--n", "100"],
+     {"named", "criterion", "n", "r_max", "tol", "rho"}),
+    (["bound", "--named", "h0", "--r", "0.5"],
+     {"named", "r", "alpha", "pert", "n_radial", "n_angular", "r_max"}),
+    (["construct", "--named", "h0", "--r", "0.5", "--eps", "0.001"],
+     {"named", "r", "eps", "alpha", "pert", "unsafe"}),
+    (["herglotz", "--named", "identity", "--measure", '{"atoms": [[0.0, 1.0]]}'],
+     {"named", "n_radial", "n_angular", "r_max"}),
+    # an unset flag is left out
+    (["bound", "--spec", '{"type": "series", "h": [1.0]}', "--r", "0.5"],
+     {"r", "alpha", "pert", "n_radial", "n_angular", "r_max"}),
+])
+def test_invocation_keys(capsys, argv, keys):
+    payload = run_json(capsys, argv, EXIT_HOLDS)
+    assert payload["schema_version"] == 1
+    assert set(payload["invocation"]) == keys

@@ -79,6 +79,14 @@ def test_estimate_m_negative_warns():
 def test_estimate_m_rejects_bad_radius():
     with pytest.raises(DomainError):
         estimate_m(gallery_get("identity"), 1.0)
+    # h1 is declared (and branch-audited) on |z| < 0.999 only.
+    h1 = gallery_get("h1")
+    for r in (0.999, 0.9995):
+        with pytest.raises(DomainError, match=r"\[0, 0\.999\)"):
+            estimate_m(h1, r)
+        with pytest.raises(DomainError, match=r"\[0, 0\.999\)"):
+            budget_audit(h1, conjugate_z_perturbation(), r)
+    assert estimate_m(h1, 0.99) > 0.0
 
 
 def test_estimate_A_closed_form_and_grid():

@@ -69,6 +69,8 @@ def test_c_domain_errors():
         c_of_r(np.nan, 3.0)
     with pytest.raises(ValueError, match="alpha"):
         c_of_r(0.5, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        c_of_r(0.5, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,14 @@ def test_psi_nondecreasing(alpha):
 def test_psi_domain_error():
     with pytest.raises(DomainError):
         psi(1.2, 2.0)
+    with pytest.raises(DomainError):
+        psi(np.nan)
+    with pytest.raises(DomainError):
+        psi(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="alpha"):
+        psi(0.5, 0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        psi(0.5, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +120,14 @@ def test_sheil_small_values():
 def test_sheil_small_domain_error():
     with pytest.raises(DomainError):
         sheil_small_lower(1.0, 3.0)
+    with pytest.raises(DomainError):
+        sheil_small_lower(np.nan)
+    with pytest.raises(DomainError):
+        sheil_small_lower(complex(np.nan, 0.0))
+    with pytest.raises(ValueError, match="alpha"):
+        sheil_small_lower(0.5, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        sheil_small_lower(0.5, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +166,16 @@ def test_star_radius_mismatch_rejected():
         star_inequality_check(0.9 + 0.0j, 0.9j, 0.5, 3.0)  # off the r-circle
     with pytest.raises(DomainError):
         star_inequality_check(0.5, -0.5, 1.5, 3.0)
+
+
+def test_star_alpha_validation():
+    # The inequality is stated for alpha >= 1 only.
+    with pytest.raises(ValueError, match="alpha"):
+        star_inequality_check(0.5, 0.5j, 0.5, alpha=0.5)
+    with pytest.raises(ValueError, match="alpha"):
+        star_inequality_check(0.5, 0.5j, 0.5, alpha=np.nan)
+    assert star_inequality_check(0.5, 0.5j, 0.5, alpha=OrderParam.analytic()) \
+        == star_inequality_check(0.5, 0.5j, 0.5, alpha=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +223,8 @@ def test_pairwise_bound_input_validation():
         check_pairwise_bound(f, 0.5, n=4)
     with pytest.raises(ValueError, match="alpha"):
         check_pairwise_bound(gallery_get("h0"), 0.5, alpha=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        check_pairwise_bound(gallery_get("h0"), 0.5, alpha=np.inf)
 
 
 def test_pairwise_bound_report_shape():
@@ -213,8 +243,12 @@ def test_order_param_validation():
     assert OrderParam.harmonic().alpha == 3.0
     with pytest.raises(ValueError):
         OrderParam(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be >= 1, got nan"):
         OrderParam(float("nan"))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        OrderParam(float("inf"))
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        OrderParam(float("-inf"))
     with pytest.raises(ValueError):
         OrderParam(3.0, "analytic-case")
     with pytest.raises(ValueError):

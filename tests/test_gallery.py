@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from harmonicmaps import gallery_get, gallery_list
+from harmonicmaps import gallery, gallery_get, gallery_list
 from harmonicmaps.errors import GalleryLookupError
-from harmonicmaps.gallery import names
-from harmonicmaps.mappings import eval_map
+from harmonicmaps.gallery import GalleryEntry, names
+from harmonicmaps.mappings import (
+    AnalyticFunction,
+    HarmonicMap,
+    constant_function,
+    eval_map,
+    identity_function,
+)
 from harmonicmaps.oracle import sunflower_points
 
 EXPECTED_NAMES = ("identity", "cayley", "koebe", "h0", "f_k",
@@ -43,8 +49,31 @@ def test_lookup_errors():
     for bad in (None, [0.5], "abc"):
         with pytest.raises(GalleryLookupError, match="real parameters"):
             gallery_get("f_k", {"k": bad})
-    # GalleryLookupError doubles as a KeyError for dict-style callers
+    for name, params, key in [("f_k", {}, "k"), ("h_r", {}, "r"),
+                              ("F_eps", {"eps": 0.01}, "r"), ("F_eps", {"r": 0.5}, "eps"),
+                              ("f_eps", {"eps": 0.01}, "r"), ("f_eps", {"r": 0.5}, "eps")]:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(GalleryLookupError, match="finite real parameters"):
+                gallery_get(name, {**params, key: bad})
+    # GalleryLookupError doubles as a KeyError for dict-style callers, but
+    # prints its message as given, without KeyError's quotes.
     assert issubclass(GalleryLookupError, KeyError)
+    with pytest.raises(GalleryLookupError) as info:
+        gallery_get("f_k", {"k": 1.5})
+    assert str(info.value) == "f_k needs k in [0, 1), got 1.5"
+
+
+@pytest.mark.parametrize("part", ["h", "g"])
+def test_lookup_checks_derivative_of_both_parts(monkeypatch, part):
+    # eval is 0.1 z but deriv claims 0.2: a builder with a wrong derivative
+    # must not get past get(), whichever part it sits in.
+    wrong = AnalyticFunction(eval=lambda z: 0.1 * z, deriv=lambda z: np.full_like(z, 0.2),
+                             description="0.1z with a wrong derivative")
+    parts = {"h": identity_function(), "g": constant_function(0.0), part: wrong}
+    entry = GalleryEntry("h0", (), "patched", lambda: HarmonicMap(**parts))
+    monkeypatch.setitem(gallery._BY_NAME, "h0", entry)
+    with pytest.raises(ValueError, match="wrong derivative"):
+        gallery_get("h0")
 
 
 def test_analytic_values():
