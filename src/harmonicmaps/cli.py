@@ -201,6 +201,7 @@ def cmd_bound(args):
     f = _map_from_args(args)
     pert = _perturbation_from_args(args)
     audit = budget_audit(f, pert, args.r, args.alpha, _grid_from_args(args))
+    args.alpha = audit["alpha"]  # the invocation records the order used
     # The headline budget carries the documented 1% safety haircut;
     # the raw formula value is reported alongside.
     audit["epsilon0_raw"] = audit["epsilon0"]
@@ -214,6 +215,7 @@ def cmd_construct(args):
     grid = _grid_from_args(args)
     result = build_map(f, pert, args.r, args.eps, alpha=args.alpha,
                        grid=grid, unsafe=args.unsafe)
+    args.alpha = result.alpha_used  # the invocation records the order used
     cert = float(np.min(_min_slack(result.F, grid.points())))
     payload = {
         "label": result.F.label,
@@ -292,7 +294,8 @@ def _add_budget_flags(p: argparse.ArgumentParser, with_eps=False) -> None:
     p.add_argument("--r", type=float, required=True)
     if with_eps:
         p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=3.0)
+    p.add_argument("--alpha", type=float,
+                   help="order alpha >= 1 (default: the harmonic order 3)")
     p.add_argument("--pert", choices=("conj", "series"), default="conj")
     p.add_argument("--pert-spec", dest="pert_spec",
                    help='series perturbation JSON {"p":[...],"q":[...],"A":sup}')

@@ -118,23 +118,21 @@ def largest_argument_gap(values):
     the widest empty arc, ``mid`` its midpoint direction, and ``edge_index``
     the index (into ``values``) of the sample whose argument opens the gap.
     All values lie in an open half-plane through 0 iff ``gap > pi``.
+
+    Ties: the wrap gap wins, then the first of equal gaps in angle order; the
+    edge is the highest index among equal arguments.
     """
     args = np.angle(values)
-    order = np.argsort(args, kind="stable")
-    sorted_args = args[order]
+    sorted_args = np.sort(args)
     if sorted_args.size == 1:
-        return 2.0 * np.pi, sorted_args[0] + np.pi, int(order[0])
+        return 2.0 * np.pi, sorted_args[0] + np.pi, 0
     diffs = np.diff(sorted_args)
     wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
     k = int(np.argmax(diffs))
-    if wrap >= diffs[k]:
-        gap = wrap
-        lo = sorted_args[-1]
-        edge = int(order[-1])
-    else:
-        gap = diffs[k]
-        lo = sorted_args[k]
-        edge = int(order[k])
+    # Either way ``lo`` closes its run of equal arguments, so the opening
+    # sample is the last index holding that value.
+    gap, lo = (wrap, sorted_args[-1]) if wrap >= diffs[k] else (diffs[k], sorted_args[k])
+    edge = int(np.flatnonzero(args == lo)[-1])
     return float(gap), float(lo + gap / 2.0), edge
 
 
@@ -180,8 +178,8 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
 
     For each direction ``eps`` the values ``W_eps(z) = Psi_z + eps*Psi_zbar``
     must avoid 0 and fit in an open half-plane through the origin.  The
-    half-plane test is the discrete one: sort arguments and require the
-    largest circular gap to exceed pi.  The margin is the worst angular slack
+    half-plane test is the discrete one: the largest circular gap among the
+    sorted arguments must exceed pi.  The margin is the worst angular slack
     ``(gap - pi)/2`` over all directions, and ``gamma`` is the admissible
     rotation for the worst direction (computed from the gap midpoint, no
     search).
@@ -194,12 +192,15 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
         return fail
     psi_z, psi_zb = partials
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
+    # |W_eps| <= |Psi_z| + |Psi_zbar| for every eps, so "W vanishes" is
+    # judged against that bound: the verdict does not depend on the scale of f.
+    vanish_tol = SINGULAR_TOL * float(np.max(np.abs(psi_z) + np.abs(psi_zb)))
     worst = None  # (margin, gamma, witness_idx, eps_angle)
     for ang in eps_angles:
         w = psi_z + np.exp(1j * ang) * psi_zb
         absw = np.abs(w)
         kz = int(np.argmin(absw))
-        if absw[kz] <= SINGULAR_TOL:
+        if absw[kz] <= vanish_tol:
             return CheckReport("theorem1", VERDICT_VIOLATED, 0.0,
                                witness=complex(pts[kz]), grid=grid,
                                meta={"n_epsilon": n_epsilon, "epsilon": float(ang),

@@ -8,6 +8,7 @@ inconclusive.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from harmonicmaps.mappings import AnalyticFunction
 
 H0_SAFE_BUDGET = 0.99 * 0.5 * (80.0 / 2916.0)
 H0_RAW_BUDGET = 0.5 * (80.0 / 2916.0)
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv):
@@ -76,6 +78,30 @@ def test_check_theorem1_linear_phi_vanishing_direction(capsys):
         EXIT_VIOLATED)
     assert payload["verdict"] == "violated"
     assert payload["meta"]["failure"] == "W vanishes"
+
+
+def test_check_theorem1_f_k_report_bytes(capsys):
+    # The whole report is pinned: a change to the argument gap may not move
+    # the verdict, margin, witness or gamma.
+    code, out, _ = run_cli(
+        capsys,
+        ["check", "--named", "f_k", "--param", "k=0.5", "--criterion", "theorem1",
+         "--phi", "linear", "--phi-a", "2", "--phi-b", "-1",
+         "--n-radial", "160", "--n-angular", "384", "--r-max", "0.99"])
+    assert code == EXIT_HOLDS
+    assert out == (DATA / "check_theorem1_f_k_linear_160x384.json").read_text(encoding="utf-8")
+
+
+def test_check_theorem1_verdict_ignores_scale(capsys):
+    # "W vanishes" is relative to the size of Psi's partials, so z and
+    # 1e-16 z get the same report apart from the spec.
+    reports = [run_json(capsys,
+                        ["check", "--spec", json.dumps({"type": "series", "h": [a]}),
+                         "--criterion", "theorem1", "--phi", "linear",
+                         "--phi-a", "2", "--phi-b", "-1"], EXIT_HOLDS)
+               for a in (1.0, 1e-16)]
+    for key in ("verdict", "margin", "witness", "gamma", "meta"):
+        assert reports[0][key] == reports[1][key]
 
 
 def test_check_theoremA_f_k_near_boundary_violated(capsys):
@@ -188,6 +214,21 @@ def test_bound_h0_conjugate_perturbation(capsys):
     assert "grid minima" in payload["rigor_note"]
     assert set(payload) == {"A", "C_r", "alpha", "epsilon0", "epsilon0_raw", "invocation",
                             "m_0", "m_r", "rigor_note", "schema_version"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--named", "h0", "--r", "0.5"],
+    ["construct", "--named", "h0", "--r", "0.5", "--eps", "0.001"],
+])
+def test_alpha_provenance(capsys, argv):
+    default = run_json(capsys, argv, EXIT_HOLDS)
+    given = run_json(capsys, [*argv, "--alpha", "3"], EXIT_HOLDS)
+    assert "alpha=3 (harmonic-default)" in default["rigor_note"]
+    assert "alpha=3 (user)" in given["rigor_note"]
+    # Only the provenance differs; the invocation records the order used.
+    assert default["invocation"]["alpha"] == given["invocation"]["alpha"] == 3.0
+    del default["rigor_note"], given["rigor_note"]
+    assert default == given
 
 
 def test_bound_identity_alpha3(capsys):

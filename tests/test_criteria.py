@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from harmonicmaps import (
@@ -58,6 +59,60 @@ def test_largest_gap_quarter_plane():
 def test_largest_gap_antipodal_is_pi():
     gap, _, _ = largest_argument_gap(np.array([1.0 + 0.0j, -1.0 + 0.0j]))
     assert_allclose(gap, np.pi, rtol=0, atol=1e-12)
+
+
+def stable_sort_gap(values):
+    """Reference: the largest argument gap read off a stable argsort."""
+    args = np.angle(values)
+    order = np.argsort(args, kind="stable")
+    sorted_args = args[order]
+    if sorted_args.size == 1:
+        return 2.0 * np.pi, sorted_args[0] + np.pi, int(order[0])
+    diffs = np.diff(sorted_args)
+    wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
+    k = int(np.argmax(diffs))
+    if wrap >= diffs[k]:
+        gap, lo, edge = wrap, sorted_args[-1], int(order[-1])
+    else:
+        gap, lo, edge = diffs[k], sorted_args[k], int(order[k])
+    return float(gap), float(lo + gap / 2.0), edge
+
+
+# Values whose arguments tie on purpose: +0.0 and -0.0 imaginary parts
+# (arguments 0 and -0, and pi and -pi), the four axis directions (whose
+# gaps, the wrap gap included, are all exactly pi/2) and the diagonals.
+TIE_VALUES = [complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0),
+              complex(-1.0, -0.0), 1j, -1j, complex(2.0, -0.0), complex(-3.0, -0.0),
+              1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j, 0.5 + 0.5j]
+
+
+def test_tie_values_force_a_wrap_tie():
+    # Guards the premise of the comparisons below: the wrap gap ties an
+    # inner gap on the axis directions.
+    args = np.sort(np.angle(np.array([1.0, 1j, -1.0 + 0.0j, -1j])))
+    assert np.all(np.diff(args) == args[0] + 2.0 * np.pi - args[-1])
+
+
+@given(st.lists(st.one_of(st.sampled_from(TIE_VALUES),
+                          st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                                             allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_largest_gap_matches_stable_sort(values):
+    w = np.array(values, dtype=complex)
+    assert largest_argument_gap(w) == stable_sort_gap(w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_largest_gap_matches_stable_sort_with_forced_ties(n):
+    rng = np.random.default_rng(20150 + n)
+    pool = np.array(TIE_VALUES)
+    for _ in range(400):
+        w = np.where(rng.random(n) < 0.7, rng.choice(pool, n),
+                     np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+        # Repeat a few entries so equal arguments sit at scattered indices.
+        w[rng.integers(0, n, n // 3)] = w[rng.integers(0, n)]
+        assert largest_argument_gap(w) == stable_sort_gap(w)
 
 
 def test_golden_section_finds_cosine_peak():
