@@ -12,9 +12,9 @@ stays univalent on the disk whenever
 with ``m(rho) = min_{|z| <= rho} (|h'| - |g'|)``, ``A = sup_D (|p'| + |q'|)``
 and ``C(r)`` the distortion constant from :mod:`harmonicmaps.distortion`.
 This module estimates the two quantities on grids, computes the budget, and
-builds ``F`` with the audit attached.  The affine renormalization into the
-standard family (used to transport the pairwise separation bound to
-non-normalized maps) lives here too.
+builds ``F`` with the audit attached.  The affine renormalization of a map
+into the standard family ``h(0) = g(0) = 0``, ``h'(0) = 1``, ``g'(0) = 0``,
+and its inverse, live here too.
 
 Estimates are honest about their direction: grid minimization over-estimates
 ``m`` and grid maximization under-estimates ``A``, both of which inflate the
@@ -66,10 +66,6 @@ class Perturbation:
     def __post_init__(self):
         if self.A_closed_form is not None and not self.A_closed_form > 0.0:
             raise ValueError("A_closed_form must be positive when supplied")
-
-    def deriv_sum(self, z):
-        """Pointwise ``|p'(z)| + |q'(z)|``."""
-        return np.abs(self.p.deriv(z)) + np.abs(self.q.deriv(z))
 
 
 def conjugate_z_perturbation():
@@ -165,13 +161,12 @@ def estimate_m(f: HarmonicMap, r: float, grid: GridSpec = DEFAULT_GRID) -> float
     return best
 
 
-def estimate_A(phi: Perturbation, grid: GridSpec = A_GRID) -> float:
-    """Estimate ``A = sup over the disk of |p'| + |q'|``.
+def estimate_A(phi: Perturbation) -> float:
+    """Estimate ``A = sup over the disk of |p'| + |q'|`` on :data:`A_GRID`.
 
     Returns the caller's closed form when supplied (after checking it
     dominates the grid maximum); otherwise the grid maximum, which is an
-    under-estimate since the sup may live on the boundary.  The grid must
-    reach at least radius 0.99.
+    under-estimate since the sup may live on the boundary.
 
     Raises
     ------
@@ -179,9 +174,8 @@ def estimate_A(phi: Perturbation, grid: GridSpec = A_GRID) -> float:
         If the derivative sum is non-finite near the boundary (A = infinity;
         the perturbation theorem gives nothing).
     """
-    if grid.r_max < 0.99:
-        raise ValueError("sup estimation needs grid r_max >= 0.99")
-    vals = np.asarray(phi.deriv_sum(grid.points()), dtype=float)
+    pts = A_GRID.points()
+    vals = np.abs(phi.p.deriv(pts)) + np.abs(phi.q.deriv(pts))
     if not np.all(np.isfinite(vals)):
         raise InapplicableError("|p'| + |q'| is not finite near the boundary")
     a_grid = float(np.max(vals))
@@ -315,7 +309,8 @@ def normalize(f: HarmonicMap):
     Returns
     -------
     (HarmonicMap, AffineParams)
-        The renormalized map (flagged normalized) and the undo data.
+        The renormalized map and the undo data; f itself when it is
+        already in the standard family.
 
     Raises
     ------
@@ -333,9 +328,7 @@ def normalize(f: HarmonicMap):
                           "f is not sense-preserving at the origin")
     params = AffineParams(f0=h0 + np.conj(g0), h_prime0=hp0, g_prime0=gp0)
     if params.is_identity:
-        if f.normalized:
-            return f, params
-        return HarmonicMap(f.h, f.g, label=f.label, normalized=True), params
+        return f, params
     # First stage: h1 = (h - h(0))/h'(0), g1 = (g - g(0))/conj(h'(0)).
     a = np.conj(gp0) / hp0
     d = 1.0 - abs(a) ** 2
@@ -354,7 +347,6 @@ def normalize(f: HarmonicMap):
         g=combination([(cg_g, f.g, 1.0), (cg_h, f.h, 1.0)], shift_g,
                       f"{label}: co-analytic part"),
         label=label,
-        normalized=True,
     )
     return f2, params
 

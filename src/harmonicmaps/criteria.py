@@ -289,14 +289,16 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     """Scan ``Re(z f'(z) / Phi(f(z)))`` over the grid (limit value at z=0).
 
     At the origin the ratio is taken as ``f'(0)/Phi'(0)``.  A (numerical)
-    zero of ``Phi(f(z))`` away from the origin is reported as violated with
-    that witness; a non-finite ratio makes the scan inconclusive.
+    zero of ``Phi(f(z))`` away from the origin, judged against the largest
+    finite ``|Phi(f(z))|`` on the grid, is reported as violated with that
+    witness; a non-finite ratio makes the scan inconclusive.
     """
     pts = grid.points()
     z = pts[1:]  # grid puts the origin first
     denom = Phi.eval(f.eval(z))
-    kz = int(np.argmin(np.abs(denom)))
-    if np.abs(denom[kz]) <= SINGULAR_TOL:
+    absd = np.abs(denom)
+    kz = int(np.argmin(absd))
+    if absd[kz] <= SINGULAR_TOL * np.max(absd, where=np.isfinite(absd), initial=0.0):
         return CheckReport("philike", VERDICT_VIOLATED, 0.0,
                            witness=complex(z[kz]), grid=grid,
                            meta={"failure": "Phi(f(z)) vanishes"})

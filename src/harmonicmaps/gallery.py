@@ -69,7 +69,7 @@ def _f_k(k: float) -> HarmonicMap:
     if not 0.0 <= k < 1.0:
         raise GalleryLookupError(f"f_k needs k in [0, 1), got {k}")
     g = from_series([k, 0.5 * k], description=f"{k:g}*(z + z^2/2)")
-    return HarmonicMap(h=_h0_function(), g=g, label=f"f_k(k={k:g})", normalized=(k == 0.0))
+    return HarmonicMap(h=_h0_function(), g=g, label=f"f_k(k={k:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +138,19 @@ def _eps_z(eps: float) -> AnalyticFunction:
 
 _REGISTRY = (
     GalleryEntry("identity", (), "the identity map of the disk",
-                 lambda: HarmonicMap.from_analytic(identity_function(),
-                                                   label="identity", normalized=True)),
+                 lambda: HarmonicMap.from_analytic(identity_function(), label="identity")),
     GalleryEntry("cayley", (), "half-plane map z/(1-z); convex image",
                  lambda: HarmonicMap.from_analytic(AnalyticFunction(
                      eval=lambda z: z / (1.0 - z),
                      deriv=lambda z: 1.0 / (1.0 - z) ** 2,
-                     description="z/(1-z)"), label="cayley", normalized=True)),
+                     description="z/(1-z)"), label="cayley")),
     GalleryEntry("koebe", (), "extremal map z/(1-z)^2 onto a slit plane",
                  lambda: HarmonicMap.from_analytic(AnalyticFunction(
                      eval=lambda z: z / (1.0 - z) ** 2,
                      deriv=lambda z: (1.0 + z) / (1.0 - z) ** 3,
-                     description="z/(1-z)^2"), label="koebe", normalized=True)),
+                     description="z/(1-z)^2"), label="koebe")),
     GalleryEntry("h0", (), "z + z^2/2; derivative 1+z has positive real part",
-                 lambda: HarmonicMap.from_analytic(_h0_function(), label="h0",
-                                                   normalized=True)),
+                 lambda: HarmonicMap.from_analytic(_h0_function(), label="h0")),
     GalleryEntry("f_k", ("k",),
                  "shear h0 + conj(k*h0); univalent (close-to-convex) for k in [0,1)",
                  _f_k),

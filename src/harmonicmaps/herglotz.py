@@ -350,5 +350,4 @@ def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
     def _eval(w, wbar):
         return np.array(_z(w))
 
-    return WirtingerFunction(eval=_eval, dw=_dw, dwbar=_dwbar,
-                             domain=f"image of |z| < {f.domain_radius:g}")
+    return WirtingerFunction(eval=_eval, dw=_dw, dwbar=_dwbar)

@@ -82,17 +82,16 @@ def report_to_dict(report) -> dict:
     grid = report.grid
     if isinstance(grid, GridSpec):
         grid = grid.to_dict()
-    margin = float(report.margin)
-    return {
+    return _plain({
         "schema_version": SCHEMA_VERSION,
         "criterion": report.criterion,
         "verdict": report.verdict,
-        "margin": margin if math.isfinite(margin) else None,
-        "witness": None if report.witness is None else complex_to_pair(report.witness),
-        "gamma": None if report.gamma is None else float(report.gamma),
-        "grid": _plain(grid),
-        "meta": _plain(report.meta),
-    }
+        "margin": report.margin,
+        "witness": report.witness,
+        "gamma": report.gamma,
+        "grid": grid,
+        "meta": report.meta,
+    })
 
 
 def dumps(payload: dict) -> str:

@@ -146,38 +146,24 @@ def combination(terms, shift=0.0, description=""):
 class HarmonicMap:
     """Harmonic mapping ``f = h + conj(g)`` on a disk domain.
 
-    The shared domain radius is the minimum of the two parts' radii.  When
-    ``normalized`` is set the map is asserted (to 1e-12) to satisfy
-    ``h(0) = g(0) = 0``, ``h'(0) = 1``, ``g'(0) = 0``.
+    The shared domain radius is the minimum of the two parts' radii.  No
+    normalization is assumed: :func:`harmonicmaps.construct.normalize` maps
+    f into the standard family.
     """
 
     h: AnalyticFunction
     g: AnalyticFunction
     label: str = ""
-    normalized: bool = False
-
-    def __post_init__(self):
-        if self.normalized:
-            checks = (
-                abs(self.h.eval(0j)),
-                abs(self.g.eval(0j)),
-                abs(self.h.deriv(0j) - 1.0),
-                abs(self.g.deriv(0j)),
-            )
-            if max(checks) > 1e-12:
-                raise ValueError(f"map '{self.label}' flagged normalized but violates "
-                                 f"the normalization by {max(checks):.3e}")
 
     @property
     def domain_radius(self) -> float:
         return min(self.h.domain_radius, self.g.domain_radius)
 
     @classmethod
-    def from_analytic(cls, fn: AnalyticFunction, label=None, normalized=False):
-        """Wrap an analytic function as a harmonic map with vanishing co-analytic part."""
+    def from_analytic(cls, fn: AnalyticFunction, label=None):
+        """The harmonic map ``fn + conj(0)``, labelled by fn's description by default."""
         return cls(h=fn, g=constant_function(0.0, "0"),
-                   label=label if label is not None else fn.description,
-                   normalized=normalized)
+                   label=label if label is not None else fn.description)
 
 
 @dataclass(frozen=True)
@@ -191,7 +177,6 @@ class WirtingerFunction:
     eval: Callable
     dw: Callable
     dwbar: Callable
-    domain: str = ""
 
     def __post_init__(self):
         for name in ("eval", "dw", "dwbar"):
@@ -205,7 +190,6 @@ def linear_wirtinger(a, b):
         eval=lambda w, wbar: a * w + b * wbar,
         dw=lambda w, wbar: np.full_like(w, a),
         dwbar=lambda w, wbar: np.full_like(w, b),
-        domain="plane",
     )
 
 
@@ -215,7 +199,6 @@ def analytic_wirtinger(fn: AnalyticFunction):
         eval=lambda w, wbar: fn.eval(w),
         dw=lambda w, wbar: fn.deriv(w),
         dwbar=lambda w, wbar: np.zeros_like(w),
-        domain="image domain",
     )
 
 
@@ -260,10 +243,9 @@ DEFAULT_GRID = GridSpec()
 
 
 def _check_domain(f, z):
-    radius = f.domain_radius if isinstance(f, (HarmonicMap, AnalyticFunction)) else float(f)
     zmax = np.max(np.abs(z))
-    if zmax >= radius:
-        raise DomainError(f"|z| = {zmax:.6g} outside domain radius {radius:.6g}")
+    if zmax >= f.domain_radius:
+        raise DomainError(f"|z| = {zmax:.6g} outside domain radius {f.domain_radius:.6g}")
 
 
 def eval_map(f: HarmonicMap, z):

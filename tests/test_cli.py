@@ -104,6 +104,16 @@ def test_check_theorem1_verdict_ignores_scale(capsys):
         assert reports[0][key] == reports[1][key]
 
 
+def test_check_philike_verdict_ignores_scale(capsys):
+    # "Phi(f(z)) vanishes" is relative to the largest |Phi(f(z))| on the grid.
+    payload = run_json(
+        capsys,
+        ["check", "--spec", json.dumps({"type": "series", "h": [1e-16]}),
+         "--criterion", "philike"],
+        EXIT_HOLDS)
+    assert payload["verdict"] == "holds-on-samples"
+
+
 def test_check_theoremA_f_k_near_boundary_violated(capsys):
     payload = run_json(
         capsys,
@@ -540,6 +550,10 @@ def test_spec_file_indirection(capsys, tmp_path):
      "finite real parameters"),
     (["check", "--named", "F_eps", "--param", "r=0.5", "--param", "eps=-inf",
       "--criterion", "theoremA"], "finite real parameters"),
+    (["check", "--spec", '{"type":"named","name":"f_k","params":[0.5]}',
+      "--criterion", "theoremA"], "'params' must be an object"),
+    (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,1]]}',
+      "--params", "[1]"], "structural params must be a JSON object"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

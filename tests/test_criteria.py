@@ -348,10 +348,11 @@ def test_philike_spiral_case_matches_rotated_ratio(alpha):
 
 
 @pytest.mark.parametrize("scan", [
+    lambda h: check_theorem1(HarmonicMap.from_analytic(h), linear_wirtinger(1.0, 0.0)),
     lambda h: check_theoremA(HarmonicMap.from_analytic(h)),
     lambda h: check_theoremB(HarmonicMap.from_analytic(h), identity_function()),
     lambda h: check_philike(h, identity_function()),
-], ids=["theoremA", "theoremB", "philike"])
+], ids=["theorem1", "theoremA", "theoremB", "philike"])
 def test_nonfinite_sample_is_inconclusive(scan):
     # The pole sits on a default-grid sample, where h and h' are not finite.
     pole = DEFAULT_GRID.points()[5]

@@ -89,8 +89,10 @@ def test_analytic_values():
 
 def test_f_k_shear_structure():
     f = gallery_get("f_k", {"k": 0.5})
-    assert not f.normalized
-    assert gallery_get("f_k", {"k": 0.0}).normalized
+    assert abs(complex(f.g.deriv(0j)) - 0.5) <= 1e-12  # g'(0) = k: not normalized
+    f0 = gallery_get("f_k", {"k": 0.0})
+    assert max(abs(f0.h.eval(0j)), abs(f0.g.eval(0j)),
+               abs(f0.h.deriv(0j) - 1.0), abs(f0.g.deriv(0j))) <= 1e-12
     z = 0.3 - 0.2j
     h0_val = complex(gallery_get("h0").h.eval(z))
     assert_allclose(complex(eval_map(f, z)), h0_val + 0.5 * np.conj(h0_val),

@@ -251,11 +251,6 @@ def test_harmonic_map_domain_radius_is_min():
     assert HarmonicMap(h=h, g=g).domain_radius == 0.7
 
 
-def test_normalized_flag_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        HarmonicMap.from_analytic(from_series([2.0]), normalized=True)
-
-
 # ---------------------------------------------------------------------------
 # scalar/array contract of every evaluator bundle the package builds
 

@@ -171,6 +171,22 @@ def test_curve_three_vertex_image_is_degenerate():
     assert rep.meta["failure"] == "image polyline degenerate"
 
 
+def test_curve_wrap_vertex_equal_to_first_is_dropped():
+    # Circle point k maps to the (n-1)-gon vertex k mod (n-1): the last image
+    # vertex repeats the first, and the polyline closes on n - 1 segments.
+    n = 64
+
+    def ev(z):
+        k = np.round((np.angle(z) % (2.0 * np.pi)) * n / (2.0 * np.pi))
+        return 0.5 * np.exp(2j * np.pi * (k % (n - 1)) / (n - 1))
+
+    f = HarmonicMap.from_analytic(AnalyticFunction(
+        eval=ev, deriv=lambda z: np.zeros_like(z), description="(n-1)-gon"))
+    rep = curve_simplicity(f, 0.5, n=n)
+    assert rep.meta["segments"] == n - 1
+    assert rep.holds
+
+
 def test_curve_needs_resolution():
     with pytest.raises(ValueError):
         curve_simplicity(gallery_get("identity"), 0.5, n=32)
