@@ -295,6 +295,16 @@ def construct(f: HarmonicMap, phi: Perturbation, r: float, epsilon: float,
 # ---------------------------------------------------------------------------
 # Affine renormalization into the standard family.
 
+def _affine(f: HarmonicMap, A, B, shift_h, shift_g, label) -> HarmonicMap:
+    """``A*f + B*conj(f)``: parts ``A*h + B*g + shift_h``, ``conj(A)*g + conj(B)*h + shift_g``."""
+    return HarmonicMap(
+        h=combination([(A, f.h, 1.0), (B, f.g, 1.0)], shift_h, f"{label}: analytic part"),
+        g=combination([(np.conj(A), f.g, 1.0), (np.conj(B), f.h, 1.0)], shift_g,
+                      f"{label}: co-analytic part"),
+        label=label,
+    )
+
+
 def normalize(f: HarmonicMap):
     """Affine renormalization of f into the standard family.
 
@@ -329,26 +339,14 @@ def normalize(f: HarmonicMap):
     params = AffineParams(f0=h0 + np.conj(g0), h_prime0=hp0, g_prime0=gp0)
     if params.is_identity:
         return f, params
-    # First stage: h1 = (h - h(0))/h'(0), g1 = (g - g(0))/conj(h'(0)).
+    # First stage: h1 = (h - h(0))/h'(0), g1 = (g - g(0))/conj(h'(0)); the
+    # shear then gives h2 = (h1 - a*g1)/d, g2 = (g1 - conj(a)*h1)/d.
     a = np.conj(gp0) / hp0
     d = 1.0 - abs(a) ** 2
-    # Composite coefficients of the two stages (second stage shears parts):
-    #   h2 = (h1 - a*g1)/d,  g2 = (g1 - conj(a)*h1)/d.
-    ch_h = 1.0 / (hp0 * d)
-    ch_g = -a / (np.conj(hp0) * d)
-    cg_g = 1.0 / (np.conj(hp0) * d)
-    cg_h = -np.conj(a) / (hp0 * d)
-    shift_h = -(ch_h * h0 + ch_g * g0)
-    shift_g = -(cg_g * g0 + cg_h * h0)
-    label = f"{f.label or 'f'} renormalized"
-    f2 = HarmonicMap(
-        h=combination([(ch_h, f.h, 1.0), (ch_g, f.g, 1.0)], shift_h,
-                      f"{label}: analytic part"),
-        g=combination([(cg_g, f.g, 1.0), (cg_h, f.h, 1.0)], shift_g,
-                      f"{label}: co-analytic part"),
-        label=label,
-    )
-    return f2, params
+    A = 1.0 / (hp0 * d)
+    B = -a / (np.conj(hp0) * d)
+    return _affine(f, A, B, -(A * h0 + B * g0), -(np.conj(A) * g0 + np.conj(B) * h0),
+                   f"{f.label or 'f'} renormalized"), params
 
 
 def undo_normalize(f2: HarmonicMap, params: AffineParams) -> HarmonicMap:
@@ -361,12 +359,6 @@ def undo_normalize(f2: HarmonicMap, params: AffineParams) -> HarmonicMap:
     if params.is_identity:
         return f2
     a = np.conj(params.g_prime0) / params.h_prime0
-    # f1 = f2 + a*conj(f2):  h1 = h2 + a*g2, g1 = g2 + conj(a)*h2.
-    # f  = h'(0)*f1 + f(0):  h = h'(0)*h1 + f0, g = conj(h'(0))*g1.
+    # f1 = f2 + a*conj(f2), then f = h'(0)*f1 + f(0).
     bh = params.h_prime0
-    label = f"{f2.label or 'f2'} denormalized"
-    h = combination([(bh, f2.h, 1.0), (bh * a, f2.g, 1.0)], params.f0,
-                    f"{label}: analytic part")
-    g = combination([(np.conj(bh), f2.g, 1.0), (np.conj(bh * a), f2.h, 1.0)],
-                    description=f"{label}: co-analytic part")
-    return HarmonicMap(h=h, g=g, label=label)
+    return _affine(f2, bh, bh * a, params.f0, 0.0, f"{f2.label or 'f2'} denormalized")

@@ -87,6 +87,15 @@ def _nonfinite_report(criterion, values, pts, grid):
                        meta={"failure": "non-finite evaluation"})
 
 
+def _worst_sample(criterion, values, pts, grid):
+    """Report the least sampled value (holds iff positive); inconclusive if one is not finite."""
+    if (fail := _nonfinite_report(criterion, values, pts, grid)) is not None:
+        return fail
+    k = int(np.argmin(values))
+    return CheckReport(criterion, _verdict_from_margin(float(values[k])),
+                       float(values[k]), witness=complex(pts[k]), grid=grid)
+
+
 def golden_section_max(fn, lo, hi, tol=1e-6):
     """Deterministic golden-section maximization of ``fn`` on [lo, hi].
 
@@ -165,10 +174,7 @@ def check_corollary1(f: HarmonicMap, phi: WirtingerFunction,
     if fail is not None:
         return fail
     psi_z, psi_zb = partials
-    slack = np.real(psi_z) - np.abs(psi_zb)
-    k = int(np.argmin(slack))
-    return CheckReport("corollary1", _verdict_from_margin(float(slack[k])),
-                       float(slack[k]), witness=complex(pts[k]), grid=grid)
+    return _worst_sample("corollary1", np.real(psi_z) - np.abs(psi_zb), pts, grid)
 
 
 def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
@@ -288,7 +294,8 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
                   grid: GridSpec = DEFAULT_GRID) -> CheckReport:
     """Scan ``Re(z f'(z) / Phi(f(z)))`` over the grid (limit value at z=0).
 
-    At the origin the ratio is taken as ``f'(0)/Phi'(0)``.  A (numerical)
+    At the origin the ratio is taken as its limit ``1/Phi'(f(0))`` when
+    ``Phi(f(0))`` vanishes and ``f'(0)`` does not, else as 0.  A (numerical)
     zero of ``Phi(f(z))`` away from the origin, judged against the largest
     finite ``|Phi(f(z))|`` on the grid, is reported as violated with that
     witness; a non-finite ratio makes the scan inconclusive.
@@ -297,16 +304,16 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     z = pts[1:]  # grid puts the origin first
     denom = Phi.eval(f.eval(z))
     absd = np.abs(denom)
+    tiny = SINGULAR_TOL * np.max(absd, where=np.isfinite(absd), initial=0.0)
     kz = int(np.argmin(absd))
-    if absd[kz] <= SINGULAR_TOL * np.max(absd, where=np.isfinite(absd), initial=0.0):
+    if absd[kz] <= tiny:
         return CheckReport("philike", VERDICT_VIOLATED, 0.0,
                            witness=complex(z[kz]), grid=grid,
                            meta={"failure": "Phi(f(z)) vanishes"})
-    ratio = np.real(z * f.deriv(z) / denom)
-    origin = np.real(f.deriv(0j) / Phi.deriv(0j))
-    values = np.concatenate(([origin], ratio))
-    if (fail := _nonfinite_report("philike", values, pts, grid)) is not None:
-        return fail
-    k = int(np.argmin(values))
-    return CheckReport("philike", _verdict_from_margin(float(values[k])),
-                       float(values[k]), witness=complex(pts[k]), grid=grid)
+    # z f'(z)/Phi(f(z)) tends to 1/Phi'(f(0)) when f'(0) != 0 = Phi(f(0)); a
+    # map with f'(0) = 0 is not univalent and, like Phi(f(0)) != 0, gets 0.
+    f0 = f.eval(0j)
+    origin = (np.real(1.0 / Phi.deriv(f0))
+              if abs(Phi.eval(f0)) <= tiny and f.deriv(0j) != 0 else 0.0)
+    values = np.concatenate(([origin], np.real(z * f.deriv(z) / denom)))
+    return _worst_sample("philike", values, pts, grid)

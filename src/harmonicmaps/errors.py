@@ -16,8 +16,9 @@ class SingularDerivativeError(HarmonicMapsError):
 class InversionError(HarmonicMapsError):
     """Newton inversion failed to converge.
 
-    Carries the target ``w`` that misses its bound ``tol * max(1, |w|)`` by
-    the largest factor, and as ``best_residual`` the absolute residual
+    Carries the target ``w`` that misses its bound ``tol * max(s, |w|)``
+    (``s`` the map's own scale, see ``herglotz.invert``) by the largest
+    factor, and as ``best_residual`` the absolute residual
     ``|f(z) - w|`` reached there, so the caller can decide whether to retry
     with a coarser tolerance.
     """

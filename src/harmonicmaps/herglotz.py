@@ -160,7 +160,7 @@ def verify_structural_identity(f: AnalyticFunction, mu: DiscreteMeasure,
     """
     fh = HarmonicMap.from_analytic(f)
     pts = grid.points()
-    # Tight inversion bound |f(z) - w| <= 1e-14 * max(1, |w|): the error of
+    # Tight inversion bound |f(z) - w| <= 1e-14 * max(s, |w|): the error of
     # the inverse is amplified by 1/(2*FD_STEP) in the difference quotient.
     f_inv = lambda w: invert(fh, w, tol=1e-14)
     upper = build_phi(f_inv, mu, params, f.eval(pts + FD_STEP))
@@ -286,9 +286,11 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     w : complex scalar or ndarray
         Target value(s).
     tol : float
-        Relative residual bound ``|f(z) - w| <= tol * max(1, |w|)``
-        (default 1e-12).  Scaling by the image size keeps the bound above
-        the rounding error of evaluating ``f`` where ``|w|`` is large.
+        Relative residual bound ``|f(z) - w| <= tol * max(s, |w|)``
+        (default 1e-12), where ``s = min(1, max |f(z_k) - f(0)| / max |z_k|)``
+        over the seed cloud is the map's own scale.  Scaling by the image
+        size keeps the bound above the rounding error of evaluating ``f``
+        where ``|w|`` is large, and makes it relative for a small map.
 
     Raises
     ------
@@ -302,8 +304,10 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     if not np.all(np.isfinite(wv)):
         raise DomainError(f"cannot invert at non-finite target w = {wv[~np.isfinite(wv)][0]}")
     clamp = f.domain_radius * (1.0 - 1e-9)
-    bound = tol * np.maximum(1.0, np.abs(wv))
-    z, res = _newton_sweep(f, wv, _nearest_seeds(_seed_cloud(f, clamp), wv), bound, clamp)
+    seeds, images = _seed_cloud(f, clamp)
+    scale = min(1.0, float(np.max(np.abs(images - images[0]) / np.max(np.abs(seeds)))))
+    bound = tol * np.maximum(scale, np.abs(wv))
+    z, res = _newton_sweep(f, wv, _nearest_seeds((seeds, images), wv), bound, clamp)
     if np.any(res > bound):
         k = int(np.argmax(res / bound))
         raise InversionError(
@@ -337,17 +341,12 @@ def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
         last[0] = (w.copy(), z)
         return z
 
-    def _dw(w, wbar):
+    def _partials(w):
         z = _z(w)
         hp, gp = f.h.deriv(z), f.g.deriv(z)
-        return np.conj(hp) / (np.abs(hp) ** 2 - np.abs(gp) ** 2)
+        jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
+        return np.conj(hp) / jac, -np.conj(gp) / jac
 
-    def _dwbar(w, wbar):
-        z = _z(w)
-        hp, gp = f.h.deriv(z), f.g.deriv(z)
-        return -np.conj(gp) / (np.abs(hp) ** 2 - np.abs(gp) ** 2)
-
-    def _eval(w, wbar):
-        return np.array(_z(w))
-
-    return WirtingerFunction(eval=_eval, dw=_dw, dwbar=_dwbar)
+    return WirtingerFunction(eval=lambda w, wbar: np.array(_z(w)),
+                             dw=lambda w, wbar: _partials(w)[0],
+                             dwbar=lambda w, wbar: _partials(w)[1])

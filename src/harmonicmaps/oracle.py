@@ -30,7 +30,7 @@ from .criteria import (
     VERDICT_VIOLATED,
     CheckReport,
     _nonfinite_report,
-    _verdict_from_margin,
+    _worst_sample,
 )
 from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
 
@@ -221,12 +221,7 @@ def jacobian_positivity_scan(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID) -> C
     A non-finite Jacobian makes the scan inconclusive.
     """
     pts = grid.points()
-    jac = jacobian(f, pts)
-    if (fail := _nonfinite_report("jacobian-positivity", jac, pts, grid)) is not None:
-        return fail
-    k = int(np.argmin(jac))
-    return CheckReport("jacobian-positivity", _verdict_from_margin(float(jac[k])),
-                       float(jac[k]), witness=complex(pts[k]), grid=grid)
+    return _worst_sample("jacobian-positivity", jacobian(f, pts), pts, grid)
 
 
 def _point_segment_distance(p, a, b):
@@ -243,7 +238,8 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     Builds the closed image polyline on n circle points, collapses duplicate
     consecutive vertices, and tests every non-adjacent segment pair: a proper
     crossing (strict opposite orientations both ways) or a pair at distance
-    ~0 (touching or collinear overlap) makes the verdict violated.  The
+    ~0 (touching or collinear overlap) makes the verdict violated; "duplicate"
+    and "~0" are relative to the radius of the image.  The
     margin is the minimum distance between non-adjacent segments (0 when they
     intersect), and the winding number of the polyline about its centroid is
     reported alongside (1 for a simple positively-oriented image).  A
@@ -262,8 +258,8 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
         return fail
     scale = float(np.max(np.abs(vals - np.mean(vals))))
     keep = np.ones(n, dtype=bool)
-    keep[1:] = np.abs(np.diff(vals)) > 1e-15 * max(scale, 1.0)
-    if np.abs(vals[-1] - vals[0]) <= 1e-15 * max(scale, 1.0) and keep[-1]:
+    keep[1:] = np.abs(np.diff(vals)) > 1e-15 * scale
+    if np.abs(vals[-1] - vals[0]) <= 1e-15 * scale and keep[-1]:
         keep[-1] = False
     p = vals[keep]
     zsrc = circle[keep]
@@ -299,7 +295,7 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
     hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
     margin, i, j = _near_pair_min(separation, [2], lo, hi, gap=2)
-    crossing = margin <= ORIENT_SLACK * max(scale, 1.0)
+    crossing = margin <= ORIENT_SLACK * scale
     # Winding of the polyline about its centroid.
     rel = p - np.mean(p)
     dang = np.angle(np.roll(rel, -1) / rel)

@@ -9,8 +9,6 @@ invocation always produces byte-identical files.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .mappings import HarmonicMap, eval_map
@@ -30,6 +28,12 @@ _UNIT_CIRCLE = np.exp(1j * (2.0 * np.pi * np.arange(CIRCLE_SAMPLES + 1) / CIRCLE
 def _fmt(x: float) -> str:
     s = f"{x:.6f}"
     return "0.000000" if s == "-0.000000" else s
+
+
+def _escape(text: str) -> str:
+    """XML character data: ``&``, ``>`` and ``<`` as entities, in that order."""
+    # xml.sax.saxutils.escape does the same, but importing it loads the HTTP stack.
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _path(points, stroke, width, dashed=False) -> str:
@@ -78,7 +82,7 @@ def svg_document(f: HarmonicMap, rho_max: float = DEFAULT_RHO_MAX,
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
-        f"<title>{escape(f.label or 'harmonic map image')}</title>",
+        f"<title>{_escape(f.label or 'harmonic map image')}</title>",
         '<g stroke-linejoin="round" stroke-linecap="round">',
         _path(_UNIT_CIRCLE, "#555555", thin, dashed=True),
     ]

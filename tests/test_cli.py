@@ -8,6 +8,9 @@ inconclusive.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +108,19 @@ def test_check_theorem1_verdict_ignores_scale(capsys):
 
 
 def test_check_philike_verdict_ignores_scale(capsys):
-    # "Phi(f(z)) vanishes" is relative to the largest |Phi(f(z))| on the grid.
-    payload = run_json(
-        capsys,
-        ["check", "--spec", json.dumps({"type": "series", "h": [1e-16]}),
-         "--criterion", "philike"],
-        EXIT_HOLDS)
-    assert payload["verdict"] == "holds-on-samples"
+    # "Phi(f(z)) vanishes" is relative to the largest |Phi(f(z))| on the grid,
+    # and the origin takes the ratio's limit 1/Phi'(0) for any f'(0) != 0.
+    margins = {}
+    for a in (1.0, 1e-16, 0.5):
+        payload = run_json(
+            capsys,
+            ["check", "--spec", json.dumps({"type": "series", "h": [a]}),
+             "--criterion", "philike"],
+            EXIT_HOLDS)
+        assert payload["verdict"] == "holds-on-samples"
+        margins[a] = payload["margin"]
+    for a in (1e-16, 0.5):
+        assert abs(margins[a] - margins[1.0]) <= 1e-12
 
 
 def test_check_theoremA_f_k_near_boundary_violated(capsys):
@@ -567,6 +576,17 @@ def test_bad_flags_exit_two(capsys):
     capsys.readouterr()
     assert main([]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_cli_import_leaves_out_the_xml_stack():
+    # xml.sax.saxutils would load urllib.request, http.client, ssl and email
+    # at every CLI start.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, harmonicmaps.cli; print('xml.sax' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "False\n"
 
 
 def test_help_exits_zero(capsys):

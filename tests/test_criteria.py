@@ -17,14 +17,17 @@ from harmonicmaps import (
     check_theorem1,
     check_theoremA,
     check_theoremB,
+    curve_simplicity,
     from_series,
     gallery_get,
     identity_function,
     inverse_wirtinger,
+    jacobian_positivity_scan,
     linear_wirtinger,
 )
+from harmonicmaps import gallery
 from harmonicmaps.criteria import golden_section_max, largest_argument_gap
-from harmonicmaps.mappings import AnalyticFunction
+from harmonicmaps.mappings import AnalyticFunction, combination
 
 GRID_05 = GridSpec(40, 96, 0.5)
 GRID_09 = GridSpec(40, 96, 0.9)
@@ -333,6 +336,14 @@ def test_philike_zero_denominator_is_violated():
     assert_allclose(rep.witness, 0.5 + 0.0j, atol=1e-12)
 
 
+def test_philike_critical_point_at_origin_is_violated():
+    # z f'/f = 2 for z^2, but f'(0) = 0 breaks the hypothesis of the test.
+    rep = check_philike(z_squared_map().h, identity_function(), GRID_09)
+    assert rep.verdict == VERDICT_VIOLATED
+    assert rep.margin == 0.0
+    assert rep.witness == 0
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.5])
 def test_philike_spiral_case_matches_rotated_ratio(alpha):
     """Phi(w) = e^{i alpha} w reproduces the rotated starlike margin exactly."""
@@ -361,6 +372,47 @@ def test_nonfinite_sample_is_inconclusive(scan):
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.witness == pole
     assert rep.meta == {"failure": "non-finite evaluation"}
+
+
+# ---------------------------------------------------------------------------
+# scale: a*f is univalent iff f is
+
+
+GALLERY_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
+                  "F_eps": {"r": 0.5, "eps": 0.01}, "f_eps": {"r": 0.5, "eps": 0.01}}
+ANALYTIC_MAPS = {"identity", "cayley", "koebe", "h0", "h1", "h_r"}
+SCALE_GRID = GridSpec(10, 24, 0.9)
+
+
+def _scale_scans(f, analytic):
+    reports = {
+        "theoremA": check_theoremA(f, SCALE_GRID),
+        "theoremB": check_theoremB(f, gallery_get("cayley").h, SCALE_GRID),
+        "jacobian": jacobian_positivity_scan(f, SCALE_GRID),
+        "curve": curve_simplicity(f, 0.9 * f.domain_radius),
+        "theorem1": check_theorem1(f, inverse_wirtinger(f), SCALE_GRID),
+        "corollary1": check_corollary1(f, inverse_wirtinger(f), SCALE_GRID),
+    }
+    if analytic:
+        reports["philike"] = check_philike(f.h, identity_function(), SCALE_GRID)
+    return reports
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e6])
+@pytest.mark.parametrize("name", gallery.names())
+def test_verdicts_ignore_the_scale_of_the_map(name, a):
+    f = gallery_get(name, GALLERY_PARAMS.get(name))
+    af = HarmonicMap(h=combination([(a, f.h, 1.0)]), g=combination([(a, f.g, 1.0)]),
+                     label=f.label)
+    base = _scale_scans(f, name in ANALYTIC_MAPS)
+    scaled = _scale_scans(af, name in ANALYTIC_MAPS)
+    assert {k: rep.verdict for k, rep in scaled.items()} == \
+        {k: rep.verdict for k, rep in base.items()}
+    # philike's ratio and the compositions with f^{-1} do not see a at all.
+    for key in ("philike", "theorem1", "corollary1"):
+        if key in base:
+            assert abs(scaled[key].margin - base[key].margin) <= 1e-6, key
+    assert_allclose(scaled["curve"].margin, a * base["curve"].margin, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

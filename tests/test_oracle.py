@@ -243,8 +243,8 @@ def _brute_curve(f, rho, n):
     vals = np.asarray(eval_map(f, circle), dtype=complex)
     scale = float(np.max(np.abs(vals - np.mean(vals))))
     keep = np.ones(n, dtype=bool)
-    keep[1:] = np.abs(np.diff(vals)) > 1e-15 * max(scale, 1.0)
-    if np.abs(vals[-1] - vals[0]) <= 1e-15 * max(scale, 1.0) and keep[-1]:
+    keep[1:] = np.abs(np.diff(vals)) > 1e-15 * scale
+    if np.abs(vals[-1] - vals[0]) <= 1e-15 * scale and keep[-1]:
         keep[-1] = False
     p, zsrc = vals[keep], circle[keep]
     m = p.size
@@ -271,7 +271,7 @@ def _brute_curve(f, rho, n):
     dist = np.where(proper, 0.0, dist)
     k = int(np.argmin(dist))
     margin = float(dist[k])
-    if proper[k] or margin <= oracle.ORIENT_SLACK * max(scale, 1.0):
+    if proper[k] or margin <= oracle.ORIENT_SLACK * scale:
         margin = 0.0
     return margin, complex(zsrc[iu[k]]), [int(iu[k]), int(ju[k])]
 
