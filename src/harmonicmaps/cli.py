@@ -329,13 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--phi-b", default="0,0", dest="phi_b",
                     help="linear phi: coefficient of conj(w) as re[,im]")
     pc.add_argument("--G-named", default="identity", dest="G_named",
+                    choices=[e["name"] for e in list_entries() if not e["params"]],
                     help="analytic comparison map for theoremB")
     pc.add_argument("--spiral-alpha", type=float, default=0.0, dest="spiral_alpha",
                     help="philike: check against e^(i*alpha)*w")
     pc.add_argument("--n", type=int, default=400,
                     help="oracle: sample count for the injectivity scan")
     pc.add_argument("--tol", type=float, default=1e-6,
-                    help="oracle: image-collision threshold")
+                    help="oracle: image-collision threshold, relative to the "
+                         "image radius over the sample radius")
     pc.add_argument("--rho", type=float, default=0.9,
                     help="oracle: circle radius for the simplicity scan")
 

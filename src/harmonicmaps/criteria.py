@@ -247,8 +247,9 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     hp, gp = f.h.deriv(pts), f.g.deriv(pts)
     if G is not None:
         Gp = G.deriv(pts)
-        kz = int(np.argmin(np.abs(Gp)))
-        if np.abs(Gp[kz]) <= SINGULAR_TOL:
+        absG = np.abs(Gp)
+        kz = int(np.argmin(absG))
+        if absG[kz] <= SINGULAR_TOL * np.max(absG, where=np.isfinite(absG), initial=0.0):
             return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
                                witness=complex(pts[kz]), grid=grid,
                                meta={"failure": "G' vanishes at a sample", **meta})
@@ -284,8 +285,9 @@ def check_theoremB(f: HarmonicMap, G: AnalyticFunction,
     """Variant of :func:`check_theoremA` with derivatives taken relative to G.
 
     Convexity of G is the caller's responsibility and recorded as an
-    assumption in the report, not checked.  Vanishing ``G'`` at a sample
-    makes the scan inconclusive.
+    assumption in the report, not checked.  Vanishing ``G'`` at a sample,
+    judged against the largest finite ``|G'|`` on the grid, makes the scan
+    inconclusive.
     """
     return _rotation_search("theoremB", f, G, grid, n_gamma, {"assumes_G_convex": True})
 
@@ -295,10 +297,12 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     """Scan ``Re(z f'(z) / Phi(f(z)))`` over the grid (limit value at z=0).
 
     At the origin the ratio is taken as its limit ``1/Phi'(f(0))`` when
-    ``Phi(f(0))`` vanishes and ``f'(0)`` does not, else as 0.  A (numerical)
-    zero of ``Phi(f(z))`` away from the origin, judged against the largest
-    finite ``|Phi(f(z))|`` on the grid, is reported as violated with that
-    witness; a non-finite ratio makes the scan inconclusive.
+    ``Phi(f(0))`` vanishes and ``f'(0)`` does not, else as 0; when
+    ``Phi(f(0))`` and ``Phi'(f(0))`` both vanish there is no limit to take,
+    and the scan is inconclusive at the origin.  A (numerical) zero of
+    ``Phi(f(z))`` away from the origin, judged against the largest finite
+    ``|Phi(f(z))|`` on the grid, is reported as violated with that witness;
+    a non-finite ratio makes the scan inconclusive.
     """
     pts = grid.points()
     z = pts[1:]  # grid puts the origin first
@@ -313,7 +317,13 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     # z f'(z)/Phi(f(z)) tends to 1/Phi'(f(0)) when f'(0) != 0 = Phi(f(0)); a
     # map with f'(0) = 0 is not univalent and, like Phi(f(0)) != 0, gets 0.
     f0 = f.eval(0j)
-    origin = (np.real(1.0 / Phi.deriv(f0))
-              if abs(Phi.eval(f0)) <= tiny and f.deriv(0j) != 0 else 0.0)
+    origin = 0.0
+    if abs(Phi.eval(f0)) <= tiny:
+        if (dphi := Phi.deriv(f0)) == 0:
+            return CheckReport("philike", VERDICT_INCONCLUSIVE, float("nan"),
+                               witness=0j, grid=grid,
+                               meta={"failure": "Phi'(f(0)) vanishes"})
+        if f.deriv(0j) != 0:
+            origin = np.real(1.0 / dphi)
     values = np.concatenate(([origin], np.real(z * f.deriv(z) / denom)))
     return _worst_sample("philike", values, pts, grid)

@@ -188,7 +188,7 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
         return fail
     m0 = abs(f.h.deriv(0j)) - abs(f.g.deriv(0j))
     bound = m0 * c_of_r(r, a)
-    ratio, i, j = _ratio_min(vals, pts, [1])
+    ratio, i, j = _ratio_min(vals, pts, np.arange(n))
     margin = ratio - bound
     verdict = VERDICT_HOLDS if margin >= 0.0 else VERDICT_VIOLATED
     return CheckReport("pairwise-bound", verdict, margin,

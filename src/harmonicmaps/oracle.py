@@ -11,17 +11,16 @@ oracles attack the conclusion directly at fixed resolution:
   number of the image curve about its centroid).
 
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
-scans (and :func:`distortion.check_pairwise_bound`) find their least pair
-value bound-first: a few cheap pairs (index neighbours) give an upper bound
-``u`` on the minimum, and only pairs whose image boxes lie within a window
-set by ``u`` are valued -- a sort-and-sweep over the low x of each box.  When
-those windows hold more than ``PRUNE_SHARE`` of all pairs, as on compact
-images, the blocked scan over every pair runs instead.  Both paths hold at
-most ``PAIR_BLOCK`` pairs at a time and break ties on (value, i, j), so the
-report does not depend on which path ran or how its pairs were blocked.
+scans (and :func:`distortion.check_pairwise_bound`) share one exact kernel,
+:func:`_run_pair_min`: it values runs of consecutive items against
+themselves, then only the run pairs whose image boxes lie close enough to
+beat the least value so far.  Its report is that of the scan over every
+pair, ties included, at flat memory.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -37,17 +36,14 @@ from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
 # Collinearity slack for the normalized orientation predicate.
 ORIENT_SLACK = 1e-12
 
-# Pairs per block of the pair-minimum kernels (one whole row when a row is longer).
-PAIR_BLOCK = 2 ** 15
+# Pairs per batch of the pair kernel, rounded down to whole run pairs (at least one).
+PAIR_BLOCK = 2 ** 14
 
-# Most pairs the bound-first prune may visit, as a share of all pairs; past it
-# the blocked scan over every pair is cheaper, since a ragged candidate pair
-# costs about four pairs of a rectangular block.
-PRUNE_SHARE = 1 / 5
+# Items per run of the pair kernel: a pair of runs is valued, or skipped, as one block.
+RUN = 32
 
-# Slack of the prune window, relative to the bound and additive at the image
-# scale, so that rounding in a pair value never drops a pair that reaches the
-# minimum.
+# Slack of the run-pair bound, relative to the least value and additive at the
+# image scale, so that rounding never drops a pair that reaches the minimum.
 PRUNE_SLACK = 1e-9
 
 
@@ -65,108 +61,77 @@ def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _pair_min(m, pair_value, gap=1):
-    """Least ``pair_value(i, j)`` over ``i + gap <= j < m``, as ``(value, i, j)``.
+def _run_distance(lo, hi, runs, a, b, far=False):
+    """Distance between the boxes of runs a[k] and b[k] (with ``far``, the largest)."""
+    axes = []
+    for low, high in ((lo.real, hi.real), (lo.imag, hi.imag)):
+        low, high = low[runs].min(axis=1), high[runs].max(axis=1)
+        if far:
+            low, high = high, low
+        axes.append(np.maximum(np.maximum(low[b] - high[a], low[a] - high[b]), 0.0))
+    return np.hypot(*axes)
 
-    Blocks of whole rows hold at most about PAIR_BLOCK pairs, so memory stays
-    bounded at any m.  ``pair_value`` gets index arrays ``i`` of shape (rows, 1)
-    and ``j`` of shape (1, cols) and must not return NaN on pairs in range;
-    the pairs of a block with ``j < i + gap`` are dropped whatever it returns.
-    Ties go to the lowest (i, j).
+
+def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
+    """Least ``pair_value(i, j)`` over ``|i - j| >= gap`` as ``(value, i, j)``, ``i < j``.
+
+    A pair's value is at least the gap between its items' boxes (corners
+    ``lo_k``, ``hi_k``), over ``|pts_j - pts_i|`` when ``pts`` is given.  Runs
+    of RUN items of ``order`` (the last padded with its own last item) are
+    valued against themselves, then a run pair only while its bound is at
+    most the least value so far (with PRUNE_SLACK).  ``pair_value`` gets index
+    arrays of shapes (k, RUN, 1) and (k, 1, RUN), must be symmetric and not
+    NaN in range; pairs with ``|i - j| < gap`` are dropped.  Ties go to the
+    lowest (i, j), as in the scan over every pair.
     """
+    m = order.size
+    runs = np.concatenate([order, np.repeat(order[-1], -m % RUN)]).reshape(-1, RUN)
+    n, first = len(runs), runs.min(axis=1)
+    slack = PRUNE_SLACK * float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
+    per = max(1, PAIR_BLOCK // RUN ** 2)
     best = (np.inf, -1, -1)
-    i0 = 0
-    while i0 + gap < m:
-        cols = m - i0 - gap
-        rows = max(1, min(cols, PAIR_BLOCK // cols))
-        i = np.arange(i0, i0 + rows)[:, None]
-        j = np.arange(i0 + gap, m)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.asarray(pair_value(i, j), dtype=float)
-        # Column c of row r is the pair (i0 + r, i0 + gap + c): out of range iff c < r.
-        v[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
-        k = int(np.argmin(v))
-        r, c = divmod(k, cols)
-        if v[r, c] < best[0]:
-            best = (float(v[r, c]), i0 + r, i0 + gap + c)
-        i0 += rows
-    return best
-
-
-def _near_pair_min(pair_value, offsets, lo, hi, stretch=1.0, gap=1):
-    """:func:`_pair_min` over the ``m = lo.size`` items, valuing only pairs that can win.
-
-    Item k is the box ``[lo_k.real, hi_k.real] x [lo_k.imag, hi_k.imag]`` (a
-    point is a box of no width), and a pair of value v must have boxes within
-    ``v * stretch`` of each other on both axes.  The least value u over the
-    pairs ``(i, i + d)``, for the ``offsets`` d >= gap, bounds the minimum, so
-    every pair that can reach it lies within ``w = u * stretch`` (plus
-    PRUNE_SLACK): sort the items by low x, find each one's window with
-    ``searchsorted``, and keep the pairs whose y ranges are also within w.
-    These candidates are valued in blocks of at most PAIR_BLOCK / 4.  When the
-    windows hold more than PRUNE_SHARE of all pairs, this is :func:`_pair_min`
-    itself.  Either way the result is ``_pair_min``'s, ties included.
-    """
-    m = lo.size
+    # Run pair (a, b) is a * n + b: the diagonal, then the rest of the square.
+    diagonal = np.arange(n) * (n + 1)
+    square = (np.arange(k, min(k + PAIR_BLOCK, n * n)) for k in range(0, n * n, PAIR_BLOCK))
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = min(float(np.min(pair_value(np.arange(m - d), np.arange(d, m))))
-                for d in offsets if d < m)
-    mag = float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
-    w = u * stretch * (1.0 + PRUNE_SLACK) + PRUNE_SLACK * mag
-    order = np.argsort(lo.real, kind="stable")
-    # Sorted item r pairs with the sorted items r + 1 .. ends[r] - 1.
-    ends = np.searchsorted(lo.real[order], hi.real[order] + w, side="right")
-    counts = ends - np.arange(1, m + 1)
-    if not np.isfinite(w) or counts.sum() > PRUNE_SHARE * (m - gap) * (m - gap + 1) / 2:
-        return _pair_min(m, pair_value, gap)
-    low_y, high_y = lo.imag[order], hi.imag[order] + w
-    cum = np.cumsum(counts)
-    starts = cum - counts
-    # Candidate t, counted over all rows, pairs sorted row r with column t + shift[r].
-    shift = np.arange(1, m + 1) - starts
-    best = (np.inf, -1, -1)
-    r0 = 0
-    while r0 < m:
-        # Whole rows of at most PAIR_BLOCK / 4 candidates (one row when a row is
-        # longer): a candidate carries its own index arrays, so such a block
-        # holds about the memory of a PAIR_BLOCK block of _pair_min.
-        r1 = max(r0 + 1, int(np.searchsorted(cum, starts[r0] + PAIR_BLOCK // 4,
-                                             side="right")))
-        row = np.repeat(np.arange(r0, r1), counts[r0:r1])
-        col = np.arange(starts[r0], cum[r1 - 1]) + shift[row]
-        near = (low_y[col] <= high_y[row]) & (low_y[row] <= high_y[col])
-        a, b = order[row[near]], order[col[near]]
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        apart = j - i >= gap
-        i, j = i[apart], j[apart]
-        r0 = r1
-        if i.size == 0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.asarray(pair_value(i, j), dtype=float)
-        vmin = v.min()
-        k = int(np.min((i * m + j)[v == vmin]))
-        best = min(best, (float(vmin), k // m, k % m))
+        for chunk in itertools.chain([diagonal], square):
+            a, b = np.divmod(chunk, n)
+            bound = np.full(n, -np.inf)
+            if chunk is not diagonal:
+                a, b = a[a < b], b[a < b]
+                bound = _run_distance(lo, hi, runs, a, b) - slack
+                if pts is not None:
+                    bound /= _run_distance(pts, pts, runs, a, b, far=True)
+                by_bound = np.argsort(bound, kind="stable")
+                a, b, bound = a[by_bound], b[by_bound], bound[by_bound]
+            start = 0
+            while (stop := min(start + per, int(np.searchsorted(
+                    bound, best[0] * (1.0 + PRUNE_SLACK), side="right")))) > start:
+                ra, rb = a[start:stop], b[start:stop]
+                start = stop
+                i, j = runs[ra][:, :, None], runs[rb][:, None, :]
+                v = np.asarray(pair_value(i, j), dtype=float)
+                if gap > 1 or chunk is diagonal:  # only a run against itself repeats an item
+                    v[np.abs(i - j) < gap] = np.inf
+                vmin = float(v.min())
+                # On a tie, only a block holding an item <= the best i can win.
+                can = np.minimum(first[ra], first[rb]) <= (best[1] if vmin == best[0] else m)
+                if vmin > best[0] or vmin == np.inf or not can.any():
+                    continue
+                for t in np.flatnonzero(can & (v.min(axis=(1, 2)) == vmin)):
+                    p, q = np.nonzero(v[t] == vmin)
+                    x, y = i[t, p, 0], j[t, 0, q]
+                    key = int(np.min(np.minimum(x, y) * m + np.maximum(x, y)))
+                    best = min(best, (vmin, key // m, key % m))
     return best
 
 
-# Index offsets of the nearest neighbours in a sunflower sample (Fibonacci numbers).
-_FIBONACCI = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
-              2584, 4181, 6765, 10946, 17711, 28657, 46368, 75025, 121393)
-
-
-def _ratio_min(vals, pts, offsets):
-    """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``.
-
-    The pairs at the given index ``offsets`` give the bound; a pair of ratio
-    v has images within ``v * diam`` of each other, and ``2 max |z|`` bounds
-    the sample's diameter.
-    """
+def _ratio_min(vals, pts, order):
+    """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``."""
     def ratio(i, j):
         return np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
 
-    return _near_pair_min(ratio, offsets, vals, vals,
-                          stretch=2.0 * float(np.max(np.abs(pts))))
+    return _run_pair_min(ratio, order, vals, vals, pts)
 
 
 def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
@@ -174,9 +139,10 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     """All-pairs injectivity evidence on a disk sample.
 
     The margin is the worst ratio ``|f(z_i)-f(z_j)| / |z_i-z_j|`` over all
-    pairs; the verdict is violated iff that ratio drops to ``tol`` or below
-    (two sample points essentially sharing an image), and inconclusive when
-    the image of a sample is not finite.
+    pairs; the verdict is violated iff that ratio drops to ``tol * s`` or
+    below (two sample points essentially sharing an image), where ``s`` is
+    the image radius ``max |f(z_k) - mean f|`` over the sample radius
+    ``max |z_k|``, and inconclusive when the image of a sample is not finite.
 
     Parameters
     ----------
@@ -186,7 +152,8 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     r_max : float
         Sample disk radius.
     tol : float
-        Collision threshold on the ratio (default 1e-6); finite and >= 0.
+        Collision threshold on the ratio, relative to ``s`` (default 1e-6);
+        finite and >= 0.
     points : ndarray of complex, optional
         Explicit, distinct sample locations overriding the sunflower layout
         (used to place known-colliding pairs exactly).
@@ -208,8 +175,15 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     vals = eval_map(f, pts)
     if (fail := _nonfinite_report("injectivity", vals, pts, layout)) is not None:
         return fail
-    ratio, i, j = _ratio_min(vals, pts, _FIBONACCI)
-    verdict = VERDICT_HOLDS if ratio > tol else VERDICT_VIOLATED
+    # Runs follow the points row by row over a domain grid, in alternate
+    # directions; sqrt(m / RUN) rows make a run about as wide as it is tall.
+    rows = max(1, int(round(np.sqrt(pts.size / RUN))))
+    y = pts.imag - pts.imag.min()
+    row = np.minimum((y * (rows / (np.max(y) or 1.0))).astype(int), rows - 1)
+    ratio, i, j = _ratio_min(vals, pts, np.lexsort((np.where(row % 2, -pts.real, pts.real), row)))
+    # The image radius over the sample radius: the ratio's own scale.
+    scale = float(np.max(np.abs(vals - np.mean(vals)))) / float(np.max(np.abs(pts)))
+    verdict = VERDICT_HOLDS if ratio > tol * scale else VERDICT_VIOLATED
     return CheckReport("injectivity", verdict, ratio,
                        witness=complex(pts[i]), grid=layout,
                        meta={"tol": float(tol), "worst_pair": [i, j]})
@@ -283,18 +257,16 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
         a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
         proper = ((orient(a1, b1, a2) * orient(a1, b1, b2) < 0)
                   & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0))
-        dist = np.minimum.reduce([
-            _point_segment_distance(a2, a1, b1),
-            _point_segment_distance(b2, a1, b1),
-            _point_segment_distance(a1, a2, b2),
-            _point_segment_distance(b1, a2, b2),
-        ])
-        wrap_adjacent = (i == 0) & (j == m - 1)
-        return np.where(wrap_adjacent, np.inf, np.where(proper, 0.0, dist))
+        dist = _point_segment_distance(a2, a1, b1)
+        for end, u, v in ((b2, a1, b1), (a1, a2, b2), (b1, a2, b2)):
+            np.minimum(dist, _point_segment_distance(end, u, v), out=dist)
+        dist[proper] = 0.0
+        dist[np.abs(i - j) == m - 1] = np.inf  # the wrap pair is adjacent
+        return dist
 
     lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
     hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
-    margin, i, j = _near_pair_min(separation, [2], lo, hi, gap=2)
+    margin, i, j = _run_pair_min(separation, np.arange(m), lo, hi, gap=2)
     crossing = margin <= ORIENT_SLACK * scale
     # Winding of the polyline about its centroid.
     rel = p - np.mean(p)

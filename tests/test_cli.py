@@ -180,6 +180,16 @@ def test_check_oracle_h1(capsys):
     assert all(r["verdict"] == "holds-on-samples" for r in payload["reports"])
 
 
+def test_check_oracle_holds_on_a_tiny_copy_of_the_identity(capsys):
+    # 1e-8 z is univalent; its injectivity ratio 1e-8 is judged against the
+    # image radius over the sample radius, not against tol alone.
+    payload = run_json(
+        capsys,
+        ["check", "--spec", '{"type":"series","h":[1e-8]}', "--criterion", "oracle"],
+        EXIT_HOLDS)
+    assert payload["reports"][0]["margin"] == pytest.approx(1e-8)
+
+
 def test_check_oracle_flags_noninjective_series(capsys):
     # h(z) = z + 2 z^2 folds the disk over itself.
     spec = json.dumps({"type": "series", "h": [1.0, 2.0], "label": "fold"})
@@ -563,6 +573,9 @@ def test_spec_file_indirection(capsys, tmp_path):
       "--criterion", "theoremA"], "'params' must be an object"),
     (["herglotz", "--named", "cayley", "--measure", '{"atoms":[[0,1]]}',
       "--params", "[1]"], "structural params must be a JSON object"),
+    # Only gallery maps without parameters can be named as G.
+    (["check", "--named", "h0", "--criterion", "theoremB",
+      "--G-named", "f_k"], "invalid choice: 'f_k'"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

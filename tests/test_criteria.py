@@ -21,6 +21,7 @@ from harmonicmaps import (
     from_series,
     gallery_get,
     identity_function,
+    injectivity_scan,
     inverse_wirtinger,
     jacobian_positivity_scan,
     linear_wirtinger,
@@ -303,6 +304,14 @@ def test_theoremB_inconclusive_when_G_prime_vanishes():
     assert rep.meta["assumes_G_convex"] is True
 
 
+def test_theoremB_judges_G_prime_against_its_own_scale():
+    koebe, cayley = gallery_get("koebe"), gallery_get("cayley").h
+    base = check_theoremB(koebe, cayley)
+    tiny = check_theoremB(koebe, combination([(1e-16, cayley, 1.0)]))
+    assert tiny.verdict == base.verdict == VERDICT_HOLDS
+    assert_allclose(tiny.margin, 1e16 * base.margin, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # ratio test for analytic maps
 
@@ -334,6 +343,15 @@ def test_philike_zero_denominator_is_violated():
     rep = check_philike(koebe, Phi, GridSpec(40, 96, 0.8))
     assert rep.verdict == VERDICT_VIOLATED
     assert_allclose(rep.witness, 0.5 + 0.0j, atol=1e-12)
+
+
+def test_philike_inconclusive_when_Phi_has_a_double_zero_at_f0():
+    # Phi(w) = w^2: Phi(f(0)) and Phi'(f(0)) both vanish, so the ratio has no
+    # limit at the origin to take.
+    rep = check_philike(identity_function(), from_series([0.0, 1.0]), GRID_09)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.witness == 0
+    assert rep.meta == {"failure": "Phi'(f(0)) vanishes"}
 
 
 def test_philike_critical_point_at_origin_is_violated():
@@ -384,10 +402,14 @@ ANALYTIC_MAPS = {"identity", "cayley", "koebe", "h0", "h1", "h_r"}
 SCALE_GRID = GridSpec(10, 24, 0.9)
 
 
-def _scale_scans(f, analytic):
+def _scale_scans(f, analytic, a=1.0):
+    cayley = gallery_get("cayley").h
     reports = {
         "theoremA": check_theoremA(f, SCALE_GRID),
-        "theoremB": check_theoremB(f, gallery_get("cayley").h, SCALE_GRID),
+        "theoremB": check_theoremB(f, cayley, SCALE_GRID),
+        # G scaled with the map: h'/G' and g'/G' do not see a at all.
+        "theoremB-scaled-G": check_theoremB(f, combination([(a, cayley, 1.0)]), SCALE_GRID),
+        "injectivity": injectivity_scan(f, n_points=200, r_max=0.9 * f.domain_radius),
         "jacobian": jacobian_positivity_scan(f, SCALE_GRID),
         "curve": curve_simplicity(f, 0.9 * f.domain_radius),
         "theorem1": check_theorem1(f, inverse_wirtinger(f), SCALE_GRID),
@@ -405,14 +427,15 @@ def test_verdicts_ignore_the_scale_of_the_map(name, a):
     af = HarmonicMap(h=combination([(a, f.h, 1.0)]), g=combination([(a, f.g, 1.0)]),
                      label=f.label)
     base = _scale_scans(f, name in ANALYTIC_MAPS)
-    scaled = _scale_scans(af, name in ANALYTIC_MAPS)
+    scaled = _scale_scans(af, name in ANALYTIC_MAPS, a)
     assert {k: rep.verdict for k, rep in scaled.items()} == \
         {k: rep.verdict for k, rep in base.items()}
     # philike's ratio and the compositions with f^{-1} do not see a at all.
-    for key in ("philike", "theorem1", "corollary1"):
+    for key in ("philike", "theorem1", "corollary1", "theoremB-scaled-G"):
         if key in base:
             assert abs(scaled[key].margin - base[key].margin) <= 1e-6, key
-    assert_allclose(scaled["curve"].margin, a * base["curve"].margin, rtol=1e-6)
+    for key in ("curve", "injectivity"):
+        assert_allclose(scaled[key].margin, a * base[key].margin, rtol=1e-6, err_msg=key)
 
 
 # ---------------------------------------------------------------------------

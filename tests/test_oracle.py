@@ -227,7 +227,35 @@ def test_scan_reports_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the blocked pair-minimum kernel against brute force over all pairs
+# the run-pair kernel against brute force over all pairs
+
+
+def _pair_min(m, pair_value, gap=1):
+    """Least ``pair_value(i, j)`` over ``i + gap <= j < m``, as ``(value, i, j)``.
+
+    Blocks of whole rows hold at most about PAIR_BLOCK pairs, so memory stays
+    bounded at any m.  ``pair_value`` gets index arrays ``i`` of shape (rows, 1)
+    and ``j`` of shape (1, cols) and must not return NaN on pairs in range;
+    the pairs of a block with ``j < i + gap`` are dropped whatever it returns.
+    Ties go to the lowest (i, j).
+    """
+    best = (np.inf, -1, -1)
+    i0 = 0
+    while i0 + gap < m:
+        cols = m - i0 - gap
+        rows = max(1, min(cols, oracle.PAIR_BLOCK // cols))
+        i = np.arange(i0, i0 + rows)[:, None]
+        j = np.arange(i0 + gap, m)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.asarray(pair_value(i, j), dtype=float)
+        # Column c of row r is the pair (i0 + r, i0 + gap + c): out of range iff c < r.
+        v[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        k = int(np.argmin(v))
+        r, c = divmod(k, cols)
+        if v[r, c] < best[0]:
+            best = (float(v[r, c]), i0 + r, i0 + gap + c)
+        i0 += rows
+    return best
 
 
 def _brute_ratio(vals, pts):
@@ -279,8 +307,9 @@ def _brute_curve(f, rho, n):
 GALLERY_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
                   "F_eps": {"r": 0.5, "eps": 0.01}, "f_eps": {"r": 0.5, "eps": 0.01}}
 PAIR_MAPS = [*gallery.names(), "z + 2z^2"]
-# One row per block, several rows per block, and all pairs in one block.
-BLOCKS = [1, 97, oracle.PAIR_BLOCK]
+# Batch sizes: the kernel values one run pair per batch at 1 and 97 and 32
+# at 2**15; the reference takes one row, several rows and all pairs.
+BLOCKS = [1, 97, 2 ** 15]
 
 
 def _pair_map(name):
@@ -325,34 +354,31 @@ def test_pairwise_ties_go_to_lowest_pair(monkeypatch, block):
 @given(m=st.integers(2, 30), gap=st.integers(1, 3), block=st.integers(1, 200),
        seed=st.integers(0, 2 ** 16))
 def test_pair_min_matches_sorted_pairs(m, gap, block, seed):
-    # Few distinct values, so ties are common.
+    # The reference itself, with few distinct values, so ties are common.
     table = np.random.default_rng(seed).integers(0, 4, size=(m, m)).astype(float)
     pairs = [(i, j) for i in range(m) for j in range(i + gap, m)]
     expect = min(((table[i, j], i, j) for i, j in pairs), default=(np.inf, -1, -1))
     with mock.patch.object(oracle, "PAIR_BLOCK", block):
-        assert oracle._pair_min(m, lambda i, j: table[i, j], gap=gap) == expect
+        assert _pair_min(m, lambda i, j: table[i, j], gap=gap) == expect
 
 
 # ---------------------------------------------------------------------------
-# the bound-first prune against the blocked scan over every pair
+# the run-pair kernel against the reference scan over every pair
 
 
 PRUNE_MAPS = [*PAIR_MAPS, "z + z^3"]
 
 
-def _no_fallback(*args, **kwargs):
-    raise AssertionError("the pruned path fell back to the scan over every pair")
+def _every_pair(pair_value, order, lo, hi, pts=None, gap=1):
+    return _pair_min(order.size, pair_value, gap)
 
 
 def _both_paths(monkeypatch, scan):
-    """``scan()`` on the pruned path and on the scan over every pair, as
-    (margin, witness, worst_pair, verdict)."""
+    """``scan()`` on the run-pair kernel and on the reference scan over every
+    pair, as (margin, witness, worst_pair, verdict)."""
+    pruned = scan()
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "PRUNE_SHARE", np.inf)
-        patch.setattr(oracle, "_pair_min", _no_fallback)
-        pruned = scan()
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "PRUNE_SHARE", 0.0)
+        patch.setattr(oracle, "_run_pair_min", _every_pair)
         every = scan()
     return [(rep.margin, rep.witness, rep.meta["worst_pair"], rep.verdict)
             for rep in (pruned, every)]
@@ -390,15 +416,20 @@ def test_pruned_curve_matches_all_pairs_at_scale(monkeypatch, name):
     assert pruned == every
 
 
-@settings(max_examples=100, deadline=None)
-@given(m=st.integers(3, 40), gap=st.integers(1, 2), segments=st.booleans(),
-       block=st.sampled_from(BLOCKS), data=st.data())
-def test_near_pair_min_matches_sorted_pairs(m, gap, segments, block, data):
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 80), gap=st.integers(1, 2),
+       kind=st.sampled_from(["points", "segments", "ratios"]),
+       run=st.sampled_from([3, oracle.RUN]), block=st.sampled_from(BLOCKS),
+       data=st.data())
+def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
     # Integer coordinates in a small range, so duplicate points, touching
-    # segments (a bound u = 0) and tied pair values are common.
+    # segments (a bound of 0) and tied pair values are common; m is seldom a
+    # multiple of the run length, so the last run is padded.
     coords = st.lists(st.integers(0, 5), min_size=m, max_size=m)
     p = np.array(data.draw(coords)) + 1j * np.array(data.draw(coords))
-    if segments:
+    lo = hi = p
+    z = None
+    if kind == "segments":
         q = np.array(data.draw(coords)) + 1j * np.array(data.draw(coords))
         lo = np.minimum(p.real, q.real) + 1j * np.minimum(p.imag, q.imag)
         hi = np.maximum(p.real, q.real) + 1j * np.maximum(p.imag, q.imag)
@@ -408,26 +439,32 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, segments, block, data):
                                       oracle._point_segment_distance(q[j], p[i], q[i]),
                                       oracle._point_segment_distance(p[i], p[j], q[j]),
                                       oracle._point_segment_distance(q[i], p[j], q[j])])
-    else:
-        lo = hi = p
+    elif kind == "ratios":
+        cells = np.array(data.draw(st.lists(st.integers(0, 99), min_size=m, max_size=m,
+                                            unique=True)))
+        z = cells % 10 + 1j * (cells // 10)
 
         def value(i, j):
+            return np.abs(p[j] - p[i]) / np.abs(z[j] - z[i])
+    else:
+        def value(i, j):
             return np.abs(p[j] - p[i])
-    offsets = data.draw(st.lists(st.integers(gap, m - 1), min_size=1, max_size=3))
-    table = value(np.arange(m)[:, None], np.arange(m)[None, :])
-    expect = min((table[i, j], i, j) for i in range(m) for j in range(i + gap, m))
+    order = np.array(data.draw(st.permutations(range(m))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = value(np.arange(m)[:, None], np.arange(m)[None, :])
+    expect = min(((table[i, j], i, j) for i in range(m) for j in range(i + gap, m)),
+                 default=(np.inf, -1, -1))
     with mock.patch.object(oracle, "PAIR_BLOCK", block), \
-            mock.patch.object(oracle, "PRUNE_SHARE", np.inf), \
-            mock.patch.object(oracle, "_pair_min", _no_fallback):
-        assert oracle._near_pair_min(value, offsets, lo, hi, gap=gap) == expect
+            mock.patch.object(oracle, "RUN", run):
+        assert oracle._run_pair_min(value, order, lo, hi, z, gap=gap) == expect
 
 
-def test_pruned_scans_keep_memory_flat(monkeypatch):
-    # Candidates are valued in blocks, so the peak stays a few MB at any n
-    # (the scan over every pair peaks at 4.1 MB on the curve at n 8192).
-    monkeypatch.setattr(oracle, "_pair_min", _no_fallback)
-    koebe = gallery_get("koebe")
+def test_pruned_scans_keep_memory_flat():
+    # Run pairs are valued in batches, so the peak stays a few MB at any n,
+    # also on the identity, where every run pair is kept.
+    koebe, identity = gallery_get("koebe"), gallery_get("identity")
     for scan in (lambda: injectivity_scan(koebe, n_points=8000),
+                 lambda: injectivity_scan(identity, n_points=8000),
                  lambda: curve_simplicity(koebe, 0.9, n=8192)):
         tracemalloc.start()
         try:
