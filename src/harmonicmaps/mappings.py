@@ -266,14 +266,17 @@ def dilatation(f: HarmonicMap, z):
     Raises
     ------
     SingularDerivativeError
-        If ``|h'(z)|`` falls below 1e-14 at any requested point.
+        If ``|h'(z)| <= SINGULAR_TOL * max(|h'|, |g'|)`` at any requested
+        point, the largest finite ``|h'|`` and ``|g'|`` over the requested
+        points, so that the test does not depend on the scale of the map.
     """
     _check_domain(f, z)
-    hp = f.h.deriv(z)
-    if np.min(np.abs(hp)) <= SINGULAR_TOL:
+    hp, gp = f.h.deriv(z), f.g.deriv(z)
+    size = np.abs([hp, gp])
+    if np.min(np.abs(hp)) <= SINGULAR_TOL * np.max(size, where=np.isfinite(size), initial=0.0):
         bad = np.ravel(z)[int(np.argmin(np.abs(np.ravel(hp))))]
         raise SingularDerivativeError(f"h'(z) vanishes at z = {bad}")
-    return f.g.deriv(z) / hp
+    return gp / hp
 
 
 def composed_wirtinger(f: HarmonicMap, phi: WirtingerFunction, z):

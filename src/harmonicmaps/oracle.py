@@ -12,10 +12,14 @@ oracles attack the conclusion directly at fixed resolution:
 
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
 scans (and :func:`distortion.check_pairwise_bound`) share one exact kernel,
-:func:`_run_pair_min`: it values runs of consecutive items against
+:func:`_run_pair_min`.  It starts from the least value of each item against
+the next item it may pair with, values runs of consecutive items against
 themselves, then only the run pairs whose image boxes lie close enough to
-beat the least value so far.  Its report is that of the scan over every
-pair, ties included, at flat memory.
+beat the least value so far.  It hands that value, with its slack, to the
+pair function as ``at_most``: a pair above it may come back as inf, so
+:func:`curve_simplicity` runs the full segment test only on the pairs whose
+own boxes lie that close.  Its report is that of the scan over every pair,
+ties included, at flat memory.
 """
 
 from __future__ import annotations
@@ -72,28 +76,53 @@ def _run_distance(lo, hi, runs, a, b, far=False):
     return np.hypot(*axes)
 
 
+def _box_slack(lo, hi):
+    """PRUNE_SLACK at the scale of the boxes' coordinates, where rounding happens."""
+    return PRUNE_SLACK * float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
+
+
+def _least(v, i, j, m):
+    """Least of the values ``v`` of pairs (i, j) as ``(value, i, j)``, ``i < j``;
+    ties go to the lowest pair."""
+    vmin = float(v.min(initial=np.inf))
+    if vmin == np.inf:
+        return np.inf, -1, -1
+    x, y = (np.broadcast_to(k, v.shape)[v == vmin] for k in (i, j))
+    key = int(np.min(np.minimum(x, y) * m + np.maximum(x, y)))
+    return vmin, key // m, key % m
+
+
 def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     """Least ``pair_value(i, j)`` over ``|i - j| >= gap`` as ``(value, i, j)``, ``i < j``.
 
     A pair's value is at least the gap between its items' boxes (corners
-    ``lo_k``, ``hi_k``), over ``|pts_j - pts_i|`` when ``pts`` is given.  Runs
-    of RUN items of ``order`` (the last padded with its own last item) are
-    valued against themselves, then a run pair only while its bound is at
-    most the least value so far (with PRUNE_SLACK).  ``pair_value`` gets index
-    arrays of shapes (k, RUN, 1) and (k, 1, RUN), must be symmetric and not
-    NaN in range; pairs with ``|i - j| < gap`` are dropped.  Ties go to the
-    lowest (i, j), as in the scan over every pair.
+    ``lo_k``, ``hi_k``), over ``|pts_j - pts_i|`` when ``pts`` is given.  The
+    least value starts as that of each item of ``order`` against the item
+    ``gap`` places after it, cyclically.  Runs of RUN items of ``order`` (the
+    last padded with its own last item) are then valued against themselves,
+    and a run pair only while its bound is at most the least value so far
+    (with PRUNE_SLACK).  ``pair_value(i, j, at_most)`` gets index arrays that
+    broadcast together (the m starting pairs, then shapes (k, RUN, 1) and
+    (k, 1, RUN)) and ``at_most``, the least value so far with PRUNE_SLACK.
+    It must return the exact value of every pair whose value is at most
+    ``at_most``; for any other pair it may return anything above ``at_most``,
+    such as inf.  It must be symmetric and not NaN in range; pairs with
+    ``|i - j| < gap`` are dropped.  Ties go to the lowest (i, j), as in the
+    scan over every pair.
     """
     m = order.size
     runs = np.concatenate([order, np.repeat(order[-1], -m % RUN)]).reshape(-1, RUN)
     n, first = len(runs), runs.min(axis=1)
-    slack = PRUNE_SLACK * float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
+    slack = _box_slack(lo, hi)
     per = max(1, PAIR_BLOCK // RUN ** 2)
-    best = (np.inf, -1, -1)
     # Run pair (a, b) is a * n + b: the diagonal, then the rest of the square.
     diagonal = np.arange(n) * (n + 1)
     square = (np.arange(k, min(k + PAIR_BLOCK, n * n)) for k in range(0, n * n, PAIR_BLOCK))
     with np.errstate(divide="ignore", invalid="ignore"):
+        i, j = order, np.roll(order, -gap)
+        v = np.asarray(pair_value(i, j, np.inf), dtype=float)
+        v[np.abs(i - j) < gap] = np.inf
+        best = _least(v, i, j, m)
         for chunk in itertools.chain([diagonal], square):
             a, b = np.divmod(chunk, n)
             bound = np.full(n, -np.inf)
@@ -105,30 +134,32 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
                 by_bound = np.argsort(bound, kind="stable")
                 a, b, bound = a[by_bound], b[by_bound], bound[by_bound]
             start = 0
-            while (stop := min(start + per, int(np.searchsorted(
-                    bound, best[0] * (1.0 + PRUNE_SLACK), side="right")))) > start:
+            while True:
+                at_most = best[0] * (1.0 + PRUNE_SLACK)
+                stop = min(start + per, int(np.searchsorted(bound, at_most, side="right")))
+                if stop <= start:
+                    break
                 ra, rb = a[start:stop], b[start:stop]
                 start = stop
                 i, j = runs[ra][:, :, None], runs[rb][:, None, :]
-                v = np.asarray(pair_value(i, j), dtype=float)
+                v = np.asarray(pair_value(i, j, at_most), dtype=float)
                 if gap > 1 or chunk is diagonal:  # only a run against itself repeats an item
                     v[np.abs(i - j) < gap] = np.inf
                 vmin = float(v.min())
+                if vmin > best[0] or vmin == np.inf:
+                    continue
                 # On a tie, only a block holding an item <= the best i can win.
                 can = np.minimum(first[ra], first[rb]) <= (best[1] if vmin == best[0] else m)
-                if vmin > best[0] or vmin == np.inf or not can.any():
-                    continue
-                for t in np.flatnonzero(can & (v.min(axis=(1, 2)) == vmin)):
-                    p, q = np.nonzero(v[t] == vmin)
-                    x, y = i[t, p, 0], j[t, 0, q]
-                    key = int(np.min(np.minimum(x, y) * m + np.maximum(x, y)))
-                    best = min(best, (vmin, key // m, key % m))
+                won = can & (v.min(axis=(1, 2)) == vmin)
+                best = min(best, _least(v[won], i[won], j[won], m))
     return best
 
 
 def _ratio_min(vals, pts, order):
     """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``."""
-    def ratio(i, j):
+    # A point's box is the point itself: a bound per pair would cost as much
+    # as the ratio, so ``at_most`` is not used.
+    def ratio(i, j, at_most=np.inf):
         return np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
 
     return _run_pair_min(ratio, order, vals, vals, pts)
@@ -252,8 +283,17 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
         d = np.imag(np.conj(s) * t) / np.maximum(np.abs(s) * np.abs(t), 1e-300)
         return np.where(np.abs(d) <= ORIENT_SLACK, 0.0, np.sign(d))
 
-    def separation(i, j):
-        """Distance between segments i and j; 0 for a proper crossing."""
+    lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
+    hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
+    slack = _box_slack(lo, hi)
+
+    def separation(i, j, at_most=np.inf):
+        """Distance between segments i and j, 0 for a proper crossing; inf for
+        a pair whose boxes lie more than ``at_most`` (with slack) apart on an axis."""
+        reach = at_most + slack
+        near = ((lo.real[j] <= hi.real[i] + reach) & (lo.real[i] <= hi.real[j] + reach)
+                & (lo.imag[j] <= hi.imag[i] + reach) & (lo.imag[i] <= hi.imag[j] + reach))
+        i, j = (np.broadcast_to(k, near.shape)[near] for k in (i, j))
         a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
         proper = ((orient(a1, b1, a2) * orient(a1, b1, b2) < 0)
                   & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0))
@@ -262,10 +302,10 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
             np.minimum(dist, _point_segment_distance(end, u, v), out=dist)
         dist[proper] = 0.0
         dist[np.abs(i - j) == m - 1] = np.inf  # the wrap pair is adjacent
-        return dist
+        out = np.full(near.shape, np.inf)
+        out[near] = dist
+        return out
 
-    lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
-    hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
     margin, i, j = _run_pair_min(separation, np.arange(m), lo, hi, gap=2)
     crossing = margin <= ORIENT_SLACK * scale
     # Winding of the polyline about its centroid.

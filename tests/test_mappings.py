@@ -30,6 +30,7 @@ from harmonicmaps.herglotz import big_phi_function, structural_phi_prime
 from harmonicmaps.mappings import (
     FD_STEP,
     analytic_wirtinger,
+    combination,
     composition_fd,
     derivative_consistency,
     wirtinger_fd,
@@ -91,6 +92,13 @@ def test_dilatation_singular():
     f = HarmonicMap.from_analytic(from_series([0.0, 1.0], description="z^2"))
     with pytest.raises(SingularDerivativeError):
         dilatation(f, 0j)
+
+
+def test_dilatation_ignores_the_scale_of_the_map():
+    # h' of 1e-16 * f_k is about 1e-16, and its dilatation is still k.
+    f = gallery_get("f_k", {"k": 0.5})
+    tiny = HarmonicMap(h=combination([(1e-16, f.h, 1.0)]), g=combination([(1e-16, f.g, 1.0)]))
+    assert_allclose(dilatation(tiny, disk_points(10, seed=1)), 0.5, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from harmonicmaps import (
     sunflower_points,
 )
 from harmonicmaps import gallery, oracle
-from harmonicmaps.mappings import AnalyticFunction, constant_function, eval_map
+from harmonicmaps.mappings import AnalyticFunction, combination, constant_function, eval_map
 
 
 def z_plus_2z2():
@@ -416,6 +416,43 @@ def test_pruned_curve_matches_all_pairs_at_scale(monkeypatch, name):
     assert pruned == every
 
 
+@pytest.mark.parametrize("n", [256, 1024, 8192])
+@pytest.mark.parametrize("name", ["koebe", "h1", "identity", "z + 2z^2"])
+def test_curve_values_few_segment_pairs(monkeypatch, name, n):
+    # The segment boxes rule out all but a few pairs per segment.
+    distance, points = oracle._point_segment_distance, []
+
+    def counting(p, a, b):
+        points.append(np.broadcast(p, a, b).size)
+        return distance(p, a, b)
+
+    monkeypatch.setattr(oracle, "_point_segment_distance", counting)
+    f = _prune_map(name)
+    rep = curve_simplicity(f, 0.9 * f.domain_radius, n=n)
+    # Four point-to-segment distances per segment pair.
+    assert sum(points) / 4 <= 8 * rep.meta["segments"]
+
+
+@pytest.mark.parametrize("b", [0, 3 - 2j])
+@pytest.mark.parametrize("a", [1e-6, np.exp(0.7j)])
+@pytest.mark.parametrize("name", gallery.names())
+def test_pair_scans_follow_an_affine_change_of_the_image(name, a, b):
+    # a*f + b has the pairs of f at |a| times the distance, so no bound may
+    # lean on where the image lies or how it is turned.
+    f = _pair_map(name)
+    af = HarmonicMap(h=combination([(a, f.h, 1.0)], b),
+                     g=combination([(np.conj(a), f.g, 1.0)]), label=f.label)
+    radius = f.domain_radius
+    scans = [lambda f: injectivity_scan(f, n_points=200, r_max=0.9 * radius),
+             lambda f: curve_simplicity(f, 0.9 * radius)]
+    if radius == 1.0:
+        scans.append(lambda f: check_pairwise_bound(f, 0.5, n=256))
+    for scan in scans:
+        base, moved = scan(f), scan(af)
+        assert moved.verdict == base.verdict, base.criterion
+        assert_allclose(moved.margin, abs(a) * base.margin, rtol=1e-6, err_msg=base.criterion)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 80), gap=st.integers(1, 2),
        kind=st.sampled_from(["points", "segments", "ratios"]),
@@ -434,7 +471,7 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
         lo = np.minimum(p.real, q.real) + 1j * np.minimum(p.imag, q.imag)
         hi = np.maximum(p.real, q.real) + 1j * np.maximum(p.imag, q.imag)
 
-        def value(i, j):
+        def value(i, j, at_most=np.inf):
             return np.minimum.reduce([oracle._point_segment_distance(p[j], p[i], q[i]),
                                       oracle._point_segment_distance(q[j], p[i], q[i]),
                                       oracle._point_segment_distance(p[i], p[j], q[j]),
@@ -444,11 +481,18 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
                                             unique=True)))
         z = cells % 10 + 1j * (cells // 10)
 
-        def value(i, j):
+        def value(i, j, at_most=np.inf):
             return np.abs(p[j] - p[i]) / np.abs(z[j] - z[i])
     else:
-        def value(i, j):
+        def value(i, j, at_most=np.inf):
             return np.abs(p[j] - p[i])
+
+    def only_up_to(i, j, at_most=np.inf):
+        # The worst the kernel allows: inf for every pair above at_most.
+        v = value(i, j)
+        return np.where(v > at_most, np.inf, v)
+
+    pair_value = only_up_to if data.draw(st.booleans()) else value
     order = np.array(data.draw(st.permutations(range(m))))
     with np.errstate(divide="ignore", invalid="ignore"):
         table = value(np.arange(m)[:, None], np.arange(m)[None, :])
@@ -456,7 +500,7 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
                  default=(np.inf, -1, -1))
     with mock.patch.object(oracle, "PAIR_BLOCK", block), \
             mock.patch.object(oracle, "RUN", run):
-        assert oracle._run_pair_min(value, order, lo, hi, z, gap=gap) == expect
+        assert oracle._run_pair_min(pair_value, order, lo, hi, z, gap=gap) == expect
 
 
 def test_pruned_scans_keep_memory_flat():
