@@ -37,6 +37,7 @@ from .mappings import (
     GridSpec,
     HarmonicMap,
     DEFAULT_GRID,
+    SINGULAR_TOL,
     combination,
     constant_function,
     identity_function,
@@ -180,7 +181,7 @@ def estimate_A(phi: Perturbation) -> float:
         raise InapplicableError("|p'| + |q'| is not finite near the boundary")
     a_grid = float(np.max(vals))
     if phi.A_closed_form is not None:
-        if a_grid > phi.A_closed_form + 1e-9:
+        if a_grid > phi.A_closed_form * (1.0 + 1e-9):
             raise ValueError(f"claimed sup {phi.A_closed_form} is below the "
                              f"grid evidence {a_grid}")
         return float(phi.A_closed_form)
@@ -331,7 +332,7 @@ def normalize(f: HarmonicMap):
     g0 = f.g.eval(0j)
     hp0 = f.h.deriv(0j)
     gp0 = f.g.deriv(0j)
-    if abs(hp0) <= 1e-14:
+    if abs(hp0) <= SINGULAR_TOL * max(abs(hp0), abs(gp0)):
         raise InapplicableError("h'(0) = 0; no affine renormalization exists")
     if abs(gp0) >= abs(hp0):
         raise DomainError(f"|g'(0)| = {abs(gp0):.6g} >= |h'(0)| = {abs(hp0):.6g}; "

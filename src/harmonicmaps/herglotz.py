@@ -15,7 +15,8 @@ gives the identity ``d/dz phi(f(z)) = c*p(z) - i*c*c1``, which
 :func:`verify_structural_identity` checks by central finite differences.
 
 Also here: the numerical inverse of a harmonic map (damped Newton on the
-two-real-variable system) and its exact Wirtinger partials, used by the
+two-real-variable system, seeded from a fixed cloud ranked relative to
+``f(0)``) and its exact Wirtinger partials, both from one solve, used by the
 criteria checkers as the canonical converse witness.
 """
 
@@ -257,8 +258,11 @@ def _seed_cloud(f: HarmonicMap, radius):
 def _nearest_seeds(cloud, w):
     """For each target, the cloud point whose image lies nearest to it."""
     seeds, images = cloud
-    # |w - v|^2 = |w|^2 - (2 Re(w conj v) - |v|^2): the first term is the same
+    # Measured from f(0), the first image, so that the scores of a translated
+    # map do not drown the gaps between them: with w and v taken from f(0),
+    # |w - v|^2 = |w|^2 - (2 Re(w conj v) - |v|^2).  The first term is the same
     # for every seed, so the bracket, one real matrix product, ranks them.
+    w, images = w - images[0], images - images[0]
     basis = np.stack([2.0 * images.real, 2.0 * images.imag, -np.abs(images) ** 2])
     targets = np.stack([w.real, w.imag, np.ones(w.size)], axis=1)
     out = np.empty_like(w)
@@ -327,26 +331,13 @@ def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
         d(f^{-1})/dw       =  conj(h'(z)) / J_f(z)
         d(f^{-1})/d(conj w) = -conj(g'(z)) / J_f(z)
 
-    so composing back with ``f`` returns exactly (1, 0).  The bundle keeps
-    the latest target array and its preimage, so ``eval``, ``dw`` and
-    ``dwbar`` called on the same targets share one Newton solve.
+    so composing back with ``f`` returns exactly (1, 0).  ``partials`` runs
+    one Newton solve for both, and the bundle keeps no state between calls.
     """
-    last = [None]  # (targets, preimages) of the latest solve
-
-    def _z(w):
-        hit = last[0]
-        if hit is not None and np.array_equal(hit[0], w):
-            return hit[1]
+    def partials(w, wbar):
         z = invert(f, w)
-        last[0] = (w.copy(), z)
-        return z
-
-    def _partials(w):
-        z = _z(w)
         hp, gp = f.h.deriv(z), f.g.deriv(z)
         jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
         return np.conj(hp) / jac, -np.conj(gp) / jac
 
-    return WirtingerFunction(eval=lambda w, wbar: np.array(_z(w)),
-                             dw=lambda w, wbar: _partials(w)[0],
-                             dwbar=lambda w, wbar: _partials(w)[1])
+    return WirtingerFunction(eval=lambda w, wbar: invert(f, w), partials=partials)

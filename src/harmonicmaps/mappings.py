@@ -16,9 +16,9 @@ the Wirtinger chain rule for compositions ``phi(f(z), conj f(z))``.
 
 Evaluator bundles own the scalar/array convention.  Their kernels are
 array-only: each argument reaches a kernel as a complex ndarray (0-d for a
-scalar), and a kernel returns an array of the shape of its first argument.
-The bundle returns ``complex`` for a scalar first argument and a complex
-ndarray otherwise.
+scalar), and a kernel returns an array of the shape of its first argument,
+or a tuple of such arrays.  The bundle returns ``complex`` for a scalar first
+argument and a complex ndarray otherwise, element by element for a tuple.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def _array_kernel(kernel):
     def call(z, *rest):
         z = np.asarray(z, dtype=complex)
         out = kernel(z, *(np.asarray(a, dtype=complex) for a in rest))
-        return np.asarray(out, dtype=complex) if z.ndim else complex(out)
+        convert = (lambda v: np.asarray(v, dtype=complex)) if z.ndim else complex
+        return tuple(map(convert, out)) if isinstance(out, tuple) else convert(out)
 
     return call
 
@@ -170,16 +171,15 @@ class HarmonicMap:
 class WirtingerFunction:
     """C^1 function ``phi(w, conj w)`` with both Wirtinger partials.
 
-    ``eval``, ``dw`` and ``dwbar`` are array-only kernels of ``(w, wbar)``
-    (see the module docstring); ``dw`` is d/dw and ``dwbar`` is d/d(conj w).
+    ``eval`` and ``partials`` are array-only kernels of ``(w, wbar)`` (see the
+    module docstring); ``partials`` returns the pair ``(d/dw, d/d(conj w))``.
     """
 
     eval: Callable
-    dw: Callable
-    dwbar: Callable
+    partials: Callable
 
     def __post_init__(self):
-        for name in ("eval", "dw", "dwbar"):
+        for name in ("eval", "partials"):
             object.__setattr__(self, name, _array_kernel(getattr(self, name)))
 
 
@@ -188,8 +188,7 @@ def linear_wirtinger(a, b):
     a, b = complex(a), complex(b)
     return WirtingerFunction(
         eval=lambda w, wbar: a * w + b * wbar,
-        dw=lambda w, wbar: np.full_like(w, a),
-        dwbar=lambda w, wbar: np.full_like(w, b),
+        partials=lambda w, wbar: (np.full_like(w, a), np.full_like(w, b)),
     )
 
 
@@ -197,8 +196,7 @@ def analytic_wirtinger(fn: AnalyticFunction):
     """View an analytic ``phi(w)`` as a Wirtinger function (d/d(conj w) = 0)."""
     return WirtingerFunction(
         eval=lambda w, wbar: fn.eval(w),
-        dw=lambda w, wbar: fn.deriv(w),
-        dwbar=lambda w, wbar: np.zeros_like(w),
+        partials=lambda w, wbar: (fn.deriv(w), np.zeros_like(w)),
     )
 
 
@@ -291,11 +289,8 @@ def composed_wirtinger(f: HarmonicMap, phi: WirtingerFunction, z):
     """
     _check_domain(f, z)
     w = f.h.eval(z) + np.conj(f.g.eval(z))
-    wbar = np.conj(w)
-    pw = phi.dw(w, wbar)
-    pwb = phi.dwbar(w, wbar)
-    hp = f.h.deriv(z)
-    gp = f.g.deriv(z)
+    pw, pwb = phi.partials(w, np.conj(w))
+    hp, gp = f.h.deriv(z), f.g.deriv(z)
     return pw * hp + pwb * gp, pw * np.conj(gp) + pwb * np.conj(hp)
 
 

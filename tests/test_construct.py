@@ -24,7 +24,7 @@ from harmonicmaps import (
     undo_normalize,
 )
 from harmonicmaps.errors import DomainError, InapplicableError
-from harmonicmaps.mappings import constant_function, eval_map, identity_function
+from harmonicmaps.mappings import combination, constant_function, eval_map, identity_function
 
 H0_CONJ_BUDGET_A2 = 0.5 * 80.0 / 2916.0      # (r/A) * m(0) * C(0.5, 2)
 H0_CONJ_BUDGET_A3 = 0.5 * 728.0 / 118098.0   # same with the harmonic order
@@ -114,6 +114,14 @@ def test_estimate_A_validation():
     with pytest.raises(ValueError):
         Perturbation(p=identity_function(), q=identity_function(),
                      A_closed_form=-1.0)
+
+
+def test_estimate_A_judges_a_small_claim_relative_to_its_size():
+    # 5e-10 lies within 1e-9 of 1e-12, but is 500 times the claimed sup.
+    small = Perturbation(p=constant_function(0.0), q=from_series([5e-10]),
+                         A_closed_form=1e-12)
+    with pytest.raises(ValueError):
+        estimate_A(small)
 
 
 def test_estimate_A_unbounded_perturbation():
@@ -301,6 +309,17 @@ def test_normalize_rejects_degenerate_maps():
         normalize(HarmonicMap.from_analytic(from_series([0.0, 1.0])))  # h'(0)=0
     with pytest.raises(DomainError):
         normalize(HarmonicMap(h=identity_function(), g=identity_function()))
+
+
+@pytest.mark.parametrize("name, params", [("h0", None), ("f_k", {"k": 0.5}),
+                                          ("F_eps", {"r": 0.5, "eps": 0.01})])
+def test_normalize_ignores_the_scale_of_the_map(name, params):
+    # h'(0) is judged against max(|h'(0)|, |g'(0)|), not against 1e-14.
+    f = gallery_get(name, params)
+    tiny = HarmonicMap(h=combination([(1e-15, f.h, 1.0)]),
+                       g=combination([(1e-15, f.g, 1.0)]), label=f.label)
+    z = 0.3 + 0.1j
+    assert abs(complex(eval_map(normalize(tiny)[0], z) - eval_map(normalize(f)[0], z))) <= 1e-16
 
 
 def test_normalize_twice_is_stable():

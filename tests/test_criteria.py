@@ -27,7 +27,7 @@ from harmonicmaps import (
     linear_wirtinger,
 )
 from harmonicmaps import gallery
-from harmonicmaps.criteria import golden_section_max, largest_argument_gap
+from harmonicmaps.criteria import _wrap_angle, golden_section_max, largest_argument_gap
 from harmonicmaps.mappings import AnalyticFunction, combination
 
 GRID_05 = GridSpec(40, 96, 0.5)
@@ -154,7 +154,7 @@ def test_corollary1_inconclusive_on_evaluation_failure():
         raise RuntimeError("no value here")
 
     phi = linear_wirtinger(1.0, 0.0)
-    broken = type(phi)(eval=phi.eval, dw=boom, dwbar=phi.dwbar)
+    broken = type(phi)(eval=phi.eval, partials=boom)
     rep = check_corollary1(gallery_get("identity"), broken, GRID_05)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert "failure" in rep.meta
@@ -436,6 +436,35 @@ def test_verdicts_ignore_the_scale_of_the_map(name, a):
             assert abs(scaled[key].margin - base[key].margin) <= 1e-6, key
     for key in ("curve", "injectivity"):
         assert_allclose(scaled[key].margin, a * base[key].margin, rtol=1e-6, err_msg=key)
+
+
+@pytest.mark.parametrize("b", [0, 3 - 2j])
+@pytest.mark.parametrize("a", [1e-6, np.exp(0.7j)])
+@pytest.mark.parametrize("name", gallery.names())
+def test_criteria_follow_an_affine_change_of_the_map(name, a, b):
+    # a*f + b is univalent iff f is; h -> a h + b and g -> conj(a) g.
+    f = gallery_get(name, GALLERY_PARAMS.get(name))
+    af = HarmonicMap(h=combination([(a, f.h, 1.0)], b),
+                     g=combination([(np.conj(a), f.g, 1.0)]), label=f.label)
+    # philike's ratio z f'/Phi(f) with Phi the identity sees a shift b.
+    analytic = name in ANALYTIC_MAPS and b == 0
+    base, moved = _scale_scans(f, analytic), _scale_scans(af, analytic, a)
+    assert {k: rep.verdict for k, rep in moved.items()} == \
+        {k: rep.verdict for k, rep in base.items()}
+    for key in ("theoremA", "theoremB"):
+        assert_allclose(moved[key].margin, abs(a) * base[key].margin, rtol=1e-5, err_msg=key)
+    assert_allclose(moved["jacobian"].margin, abs(a) ** 2 * base["jacobian"].margin,
+                    rtol=1e-12)
+    # Where theoremA fails on koebe and h1 its best rotation is not unique.
+    turned = ["theoremB"] + (["theoremA"] if base["theoremA"].holds else [])
+    for key in turned:
+        assert abs(_wrap_angle(moved[key].gamma - base[key].gamma + np.angle(a))) <= 1e-5, key
+    # With b != 0 the compositions with f^{-1} drift by up to 1e-3: Newton's
+    # stop bound grows with |b| (ROADMAP item 3).
+    same = ["theoremB-scaled-G"] + (["theorem1", "corollary1", "philike"] if b == 0 else [])
+    for key in same:
+        if key in base:
+            assert abs(moved[key].margin - base[key].margin) <= 1e-6, key
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,23 @@ def test_pair_scans_follow_an_affine_change_of_the_image(name, a, b):
         assert_allclose(moved.margin, abs(a) * base.margin, rtol=1e-6, err_msg=base.criterion)
 
 
+def _only_up_to(value):
+    """The worst pair function the kernel allows: inf for every pair above at_most."""
+    def pair_value(i, j, at_most=np.inf):
+        v = value(i, j)
+        return np.where(v > at_most, np.inf, v)
+
+    return pair_value
+
+
+def test_near_pair_min_hands_on_the_least_value_so_far():
+    # The starting pairs of this order give (1, 2) at 1.  A kernel that
+    # passed less than that as at_most would get inf for the tied (0, 1).
+    p = np.arange(4.0) + 0j
+    pair_value = _only_up_to(lambda i, j: np.abs(p[j] - p[i]))
+    assert oracle._run_pair_min(pair_value, np.array([0, 2, 1, 3]), p, p) == (1.0, 0, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 80), gap=st.integers(1, 2),
        kind=st.sampled_from(["points", "segments", "ratios"]),
@@ -487,12 +504,7 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
         def value(i, j, at_most=np.inf):
             return np.abs(p[j] - p[i])
 
-    def only_up_to(i, j, at_most=np.inf):
-        # The worst the kernel allows: inf for every pair above at_most.
-        v = value(i, j)
-        return np.where(v > at_most, np.inf, v)
-
-    pair_value = only_up_to if data.draw(st.booleans()) else value
+    pair_value = _only_up_to(value) if data.draw(st.booleans()) else value
     order = np.array(data.draw(st.permutations(range(m))))
     with np.errstate(divide="ignore", invalid="ignore"):
         table = value(np.arange(m)[:, None], np.arange(m)[None, :])
