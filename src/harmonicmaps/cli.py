@@ -18,6 +18,7 @@ violated, 2 bad input or an inconclusive evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -367,10 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize other codes.
         return EXIT_INPUT if exc.code not in (0,) else 0

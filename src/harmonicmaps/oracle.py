@@ -19,7 +19,9 @@ beat the least value so far.  It hands that value, with its slack, to the
 pair function as ``at_most``: a pair above it may come back as inf, so
 :func:`curve_simplicity` runs the full segment test only on the pairs whose
 own boxes lie that close.  Its report is that of the scan over every pair,
-ties included, at flat memory.
+ties included, at flat memory.  Every batch is valued into scratch that
+:func:`_scratch` allocates once per scan, so a pair function's result holds
+only until its next call, and no batch allocates an array of its own size.
 """
 
 from __future__ import annotations
@@ -81,6 +83,23 @@ def _box_slack(lo, hi):
     return PRUNE_SLACK * float(np.max(np.abs([lo.real, lo.imag, hi.real, hi.imag])))
 
 
+def _scratch(m, *dtypes):
+    """Scratch for the pair values of one scan of :func:`_run_pair_min` on m items.
+
+    Allocates one array per dtype, large enough for the m starting pairs or
+    one batch, and returns ``view(i, j)``: the arrays' leading items, shaped
+    as ``i`` and ``j`` broadcast together.
+    """
+    size = max(m, PAIR_BLOCK, RUN ** 2)
+    arrays = [np.empty(size, dtype) for dtype in dtypes]
+
+    def view(i, j):
+        pairs = np.broadcast(i, j)
+        return [a[:pairs.size].reshape(pairs.shape) for a in arrays]
+
+    return view
+
+
 def _least(v, i, j, m):
     """Least of the values ``v`` of pairs (i, j) as ``(value, i, j)``, ``i < j``;
     ties go to the lowest pair."""
@@ -107,7 +126,9 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     It must return the exact value of every pair whose value is at most
     ``at_most``; for any other pair it may return anything above ``at_most``,
     such as inf.  It must be symmetric and not NaN in range; pairs with
-    ``|i - j| < gap`` are dropped.  Ties go to the lowest (i, j), as in the
+    ``|i - j| < gap`` are dropped.  The returned array need stay valid only
+    until the next call, so a pair function may value every batch into one
+    scratch (see :func:`_scratch`).  Ties go to the lowest (i, j), as in the
     scan over every pair.
     """
     m = order.size
@@ -115,6 +136,7 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     n, first = len(runs), runs.min(axis=1)
     slack = _box_slack(lo, hi)
     per = max(1, PAIR_BLOCK // RUN ** 2)
+    apart = _scratch(m, bool, bool)
     # Run pair (a, b) is a * n + b: the diagonal, then the rest of the square.
     diagonal = np.arange(n) * (n + 1)
     square = (np.arange(k, min(k + PAIR_BLOCK, n * n)) for k in range(0, n * n, PAIR_BLOCK))
@@ -144,12 +166,18 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
                 i, j = runs[ra][:, :, None], runs[rb][:, None, :]
                 v = np.asarray(pair_value(i, j, at_most), dtype=float)
                 if gap > 1 or chunk is diagonal:  # only a run against itself repeats an item
-                    v[np.abs(i - j) < gap] = np.inf
+                    # |i - j| < gap, as i < j + gap and j < i + gap.
+                    close, other = apart(i, j)
+                    np.less(i, j + gap, out=close)
+                    close &= np.less(j, i + gap, out=other)
+                    np.copyto(v, np.inf, where=close)
                 vmin = float(v.min())
                 if vmin > best[0] or vmin == np.inf:
                     continue
                 # On a tie, only a block holding an item <= the best i can win.
                 can = np.minimum(first[ra], first[rb]) <= (best[1] if vmin == best[0] else m)
+                if not can.any():
+                    continue
                 won = can & (v.min(axis=(1, 2)) == vmin)
                 best = min(best, _least(v[won], i[won], j[won], m))
     return best
@@ -159,8 +187,13 @@ def _ratio_min(vals, pts, order):
     """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``."""
     # A point's box is the point itself: a bound per pair would cost as much
     # as the ratio, so ``at_most`` is not used.
+    scratch = _scratch(order.size, complex, float, float)
+
     def ratio(i, j, at_most=np.inf):
-        return np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
+        diff, num, den = scratch(i, j)
+        np.abs(np.subtract(vals[j], vals[i], out=diff), out=num)
+        np.abs(np.subtract(pts[j], pts[i], out=diff), out=den)
+        return np.divide(num, den, out=num)
 
     return _run_pair_min(ratio, order, vals, vals, pts)
 
@@ -286,13 +319,17 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
     hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
     slack = _box_slack(lo, hi)
+    scratch = _scratch(m, bool, bool, float)
 
     def separation(i, j, at_most=np.inf):
         """Distance between segments i and j, 0 for a proper crossing; inf for
         a pair whose boxes lie more than ``at_most`` (with slack) apart on an axis."""
         reach = at_most + slack
-        near = ((lo.real[j] <= hi.real[i] + reach) & (lo.real[i] <= hi.real[j] + reach)
-                & (lo.imag[j] <= hi.imag[i] + reach) & (lo.imag[i] <= hi.imag[j] + reach))
+        near, on_axis, out = scratch(i, j)
+        near.fill(True)
+        for low, high in ((lo.real, hi.real), (lo.imag, hi.imag)):
+            for u, w in ((i, j), (j, i)):
+                near &= np.less_equal(low[w], high[u] + reach, out=on_axis)
         i, j = (np.broadcast_to(k, near.shape)[near] for k in (i, j))
         a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
         proper = ((orient(a1, b1, a2) * orient(a1, b1, b2) < 0)
@@ -302,7 +339,7 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
             np.minimum(dist, _point_segment_distance(end, u, v), out=dist)
         dist[proper] = 0.0
         dist[np.abs(i - j) == m - 1] = np.inf  # the wrap pair is adjacent
-        out = np.full(near.shape, np.inf)
+        out.fill(np.inf)
         out[near] = dist
         return out
 

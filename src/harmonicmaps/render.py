@@ -38,7 +38,11 @@ def _escape(text: str) -> str:
 
 def _path(points, stroke, width, dashed=False) -> str:
     # SVG's y axis points down; flip so the upper half-plane renders on top.
-    coords = " L ".join(f"{_fmt(p.real)} {_fmt(-p.imag)}" for p in points)
+    # Every number has six decimals and only a "-" starts one, so the replace
+    # changes exactly the numbers that _fmt changes.
+    xy = np.column_stack((points.real, -points.imag)).ravel().tolist()
+    coords = " L ".join(["%.6f %.6f"] * len(points)) % tuple(xy)
+    coords = coords.replace("-0.000000", "0.000000")
     dash = ' stroke-dasharray="{0} {0}"'.format(_fmt(width * 4)) if dashed else ""
     return (f'<path d="M {coords}" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" fill="none"{dash}/>')

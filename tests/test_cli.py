@@ -591,6 +591,24 @@ def test_bad_flags_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_main_builds_its_parser_once(capsys):
+    # One parser serves every call in a process: an argparse error leaves
+    # nothing behind, and each call's --param list is its own.
+    grid = ["--criterion", "corollary1", "--n-radial", "10", "--n-angular", "24"]
+    calls = [["check", "--named", "h_r", "--param", "r=0.5", *grid],
+             ["check", "--named", "f_k", "--param", "k=0.5", *grid]]
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run_cli(capsys, argv))
+    assert [code for code, _, _ in first] == [EXIT_HOLDS, EXIT_HOLDS]
+    assert cli._parser() is cli._parser()
+    assert run_cli(capsys, ["check", "--named", "h0", "--criterion", "nonsense"])[0] == EXIT_INPUT
+    assert [run_cli(capsys, argv) for argv in calls] == first
+    a, b = (cli._parser().parse_args(argv) for argv in calls)
+    assert (a.param, b.param) == (["r=0.5"], ["k=0.5"])
+
+
 def test_cli_import_leaves_out_the_xml_stack():
     # xml.sax.saxutils would load urllib.request, http.client, ssl and email
     # at every CLI start.
@@ -600,6 +618,17 @@ def test_cli_import_leaves_out_the_xml_stack():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_does_not_build_the_parser():
+    # The parser is built at the first call, so a bare import stays cheap.
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import harmonicmaps.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "0\n"
 
 
 def test_help_exits_zero(capsys):

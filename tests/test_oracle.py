@@ -515,6 +515,30 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
         assert oracle._run_pair_min(pair_value, order, lo, hi, z, gap=gap) == expect
 
 
+@pytest.mark.parametrize("scan", [
+    lambda f: injectivity_scan(f, n_points=2000),
+    lambda f: check_pairwise_bound(f, 0.5, n=2048),
+    lambda f: curve_simplicity(f, 0.9, n=2048),
+], ids=["injectivity", "pairwise", "curve"])
+def test_pair_batches_share_one_scratch(monkeypatch, scan):
+    # Each scan allocates its scratch once: the values of every batch, and
+    # of the starting pairs, lie in the same memory.
+    returned = []
+    run_pair_min = oracle._run_pair_min
+
+    def recording(pair_value, *args, **kwargs):
+        def record(i, j, at_most):
+            returned.append(pair_value(i, j, at_most))
+            return returned[-1]
+
+        return run_pair_min(record, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_run_pair_min", recording)
+    scan(gallery_get("identity"))
+    assert len(returned) > 2
+    assert all(np.shares_memory(returned[0], v) for v in returned[1:])
+
+
 def test_pruned_scans_keep_memory_flat():
     # Run pairs are valued in batches, so the peak stays a few MB at any n,
     # also on the identity, where every run pair is kept.

@@ -1,5 +1,6 @@
 """JSON wire format and deterministic SVG output."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from harmonicmaps.jsonio import (
     structural_params_from_dict,
 )
 from harmonicmaps.mappings import GridSpec, eval_map
-from harmonicmaps.render import disk_image_curves, svg_document
+from harmonicmaps.render import _path, disk_image_curves, svg_document
 
 
 # ---------------------------------------------------------------------------
@@ -135,3 +136,29 @@ def test_svg_title_is_escaped():
     f = map_from_spec({"type": "series", "h": [1.0], "label": "<&evil>"})
     text = svg_document(f)
     assert "<title>&lt;&amp;evil&gt;</title>" in text
+
+
+@pytest.mark.parametrize("name, params, slit, digest", [
+    ("h1", None, True, "93b5d04edaa63ebcf9524df76588703fd809437d22992fc9bf710b08f3166462"),
+    ("f_k", {"k": 0.5}, False, "05516f4411427de980c702af1afd2d43a039523281baa7af477ea5ae6ca3d866"),
+])
+def test_svg_document_bytes_are_pinned(name, params, slit, digest):
+    text = svg_document(gallery_get(name, params), draw_slit=slit)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _per_vertex_coords(points):
+    """Path coordinates as formatted one number at a time, the reference."""
+    def fmt(x):
+        s = f"{x:.6f}"
+        return "0.000000" if s == "-0.000000" else s
+
+    return " L ".join(f"{fmt(p.real)} {fmt(-p.imag)}" for p in points)
+
+
+def test_path_formats_every_number_as_one_at_a_time():
+    # -0.0 and -4e-7 print as "-0.000000" and become "0.000000"; -10.0 keeps
+    # its sign, and nan and inf keep their names.
+    values = [-0.0, 0.0, -4e-7, 4e-7, -10.0, 10.0, np.nan, np.inf, -np.inf, -1.2345675]
+    points = np.array([complex(x, y) for x in values for y in values])
+    assert _path(points, "#000000", 1.0).startswith(f'<path d="M {_per_vertex_coords(points)}" ')
