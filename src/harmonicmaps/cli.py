@@ -51,6 +51,7 @@ from .mappings import (
     HarmonicMap,
     from_series,
     linear_wirtinger,
+    _vanishes,
 )
 from .oracle import curve_simplicity, injectivity_scan, jacobian_positivity_scan
 from .render import DEFAULT_RHO_MAX, svg_document
@@ -103,10 +104,10 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _analytic_part(f: HarmonicMap, what: str) -> AnalyticFunction:
-    """The h part of a map asserted to have no co-analytic part."""
+    """The h part of a map whose g and g' vanish at the probes against h and h' there."""
     probes = np.array([0.0, 0.3 + 0.2j, -0.4j]) * min(1.0, f.domain_radius)
-    if np.max(np.abs(f.g.eval(probes))) > 1e-12 \
-            or np.max(np.abs(f.g.deriv(probes))) > 1e-12:
+    g = np.max(np.abs([f.g.eval(probes), f.g.deriv(probes)]))
+    if _vanishes(g, [f.h.eval(probes), f.h.deriv(probes)]) is None:
         raise ValueError(f"{what} needs an analytic map (co-analytic part must vanish)")
     return f.h
 

@@ -37,7 +37,7 @@ from .mappings import (
     GridSpec,
     HarmonicMap,
     DEFAULT_GRID,
-    SINGULAR_TOL,
+    _vanishes,
     combination,
     constant_function,
     identity_function,
@@ -332,7 +332,7 @@ def normalize(f: HarmonicMap):
     g0 = f.g.eval(0j)
     hp0 = f.h.deriv(0j)
     gp0 = f.g.deriv(0j)
-    if abs(hp0) <= SINGULAR_TOL * max(abs(hp0), abs(gp0)):
+    if _vanishes(hp0, [hp0, gp0]) is not None:
         raise InapplicableError("h'(0) = 0; no affine renormalization exists")
     if abs(gp0) >= abs(hp0):
         raise DomainError(f"|g'(0)| = {abs(gp0):.6g} >= |h'(0)| = {abs(hp0):.6g}; "

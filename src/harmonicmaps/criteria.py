@@ -31,7 +31,7 @@ from .mappings import (
     HarmonicMap,
     WirtingerFunction,
     DEFAULT_GRID,
-    SINGULAR_TOL,
+    _vanishes,
     composed_wirtinger,
 )
 
@@ -199,14 +199,12 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     psi_z, psi_zb = partials
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
     # |W_eps| <= |Psi_z| + |Psi_zbar| for every eps, so "W vanishes" is
-    # judged against that bound: the verdict does not depend on the scale of f.
-    vanish_tol = SINGULAR_TOL * float(np.max(np.abs(psi_z) + np.abs(psi_zb)))
+    # judged against that bound.
+    w_scale = np.max(np.abs(psi_z) + np.abs(psi_zb))
     worst = None  # (margin, gamma, witness_idx, eps_angle)
     for ang in eps_angles:
         w = psi_z + np.exp(1j * ang) * psi_zb
-        absw = np.abs(w)
-        kz = int(np.argmin(absw))
-        if absw[kz] <= vanish_tol:
+        if (kz := _vanishes(w, w_scale)) is not None:
             return CheckReport("theorem1", VERDICT_VIOLATED, 0.0,
                                witness=complex(pts[kz]), grid=grid,
                                meta={"n_epsilon": n_epsilon, "epsilon": float(ang),
@@ -247,9 +245,7 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     hp, gp = f.h.deriv(pts), f.g.deriv(pts)
     if G is not None:
         Gp = G.deriv(pts)
-        absG = np.abs(Gp)
-        kz = int(np.argmin(absG))
-        if absG[kz] <= SINGULAR_TOL * np.max(absG, where=np.isfinite(absG), initial=0.0):
+        if (kz := _vanishes(Gp, Gp)) is not None:
             return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
                                witness=complex(pts[kz]), grid=grid,
                                meta={"failure": "G' vanishes at a sample", **meta})
@@ -286,8 +282,8 @@ def check_theoremB(f: HarmonicMap, G: AnalyticFunction,
 
     Convexity of G is the caller's responsibility and recorded as an
     assumption in the report, not checked.  Vanishing ``G'`` at a sample,
-    judged against the largest finite ``|G'|`` on the grid, makes the scan
-    inconclusive.
+    judged against the largest finite ``|G'|`` on the grid (see
+    :func:`harmonicmaps.mappings._vanishes`), makes the scan inconclusive.
     """
     return _rotation_search("theoremB", f, G, grid, n_gamma, {"assumes_G_convex": True})
 
@@ -296,21 +292,19 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
                   grid: GridSpec = DEFAULT_GRID) -> CheckReport:
     """Scan ``Re(z f'(z) / Phi(f(z)))`` over the grid (limit value at z=0).
 
+    ``Phi(f(z))`` vanishes where :func:`harmonicmaps.mappings._vanishes`
+    says so against the largest finite ``|Phi(f(z))|`` away from the origin.
+    A zero away from the origin is reported as violated with that witness.
     At the origin the ratio is taken as its limit ``1/Phi'(f(0))`` when
     ``Phi(f(0))`` vanishes and ``f'(0)`` does not, else as 0; when
     ``Phi(f(0))`` and ``Phi'(f(0))`` both vanish there is no limit to take,
-    and the scan is inconclusive at the origin.  A (numerical) zero of
-    ``Phi(f(z))`` away from the origin, judged against the largest finite
-    ``|Phi(f(z))|`` on the grid, is reported as violated with that witness;
-    a non-finite ratio makes the scan inconclusive.
+    and the scan is inconclusive at the origin.  A non-finite ratio makes
+    the scan inconclusive.
     """
     pts = grid.points()
     z = pts[1:]  # grid puts the origin first
     denom = Phi.eval(f.eval(z))
-    absd = np.abs(denom)
-    tiny = SINGULAR_TOL * np.max(absd, where=np.isfinite(absd), initial=0.0)
-    kz = int(np.argmin(absd))
-    if absd[kz] <= tiny:
+    if (kz := _vanishes(denom, denom)) is not None:
         return CheckReport("philike", VERDICT_VIOLATED, 0.0,
                            witness=complex(z[kz]), grid=grid,
                            meta={"failure": "Phi(f(z)) vanishes"})
@@ -318,7 +312,7 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     # map with f'(0) = 0 is not univalent and, like Phi(f(0)) != 0, gets 0.
     f0 = f.eval(0j)
     origin = 0.0
-    if abs(Phi.eval(f0)) <= tiny:
+    if _vanishes(Phi.eval(f0), denom) is not None:
         if (dphi := Phi.deriv(f0)) == 0:
             return CheckReport("philike", VERDICT_INCONCLUSIVE, float("nan"),
                                witness=0j, grid=grid,

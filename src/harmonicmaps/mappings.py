@@ -34,8 +34,17 @@ from .errors import DomainError, SingularDerivativeError
 # 1e-6 balances truncation against double-precision roundoff.
 FD_STEP = 1e-6
 
-# Below this magnitude a derivative is treated as (numerically) zero.
+# A value is (numerically) zero at or below this fraction of its scale.
 SINGULAR_TOL = 1e-14
+
+
+def _vanishes(values, scale):
+    """Index of the least ``|values|`` (flattened) if it is at most SINGULAR_TOL times
+    the largest finite ``|scale|``, else None: zero at the scale of the map, not absolute."""
+    size, scale = np.abs(values).ravel(), np.abs(scale)
+    k = int(size.argmin())
+    # Array methods, not np.max(...): theorem1 calls this once per direction.
+    return k if size[k] <= SINGULAR_TOL * scale.max(where=scale < np.inf, initial=0.0) else None
 
 
 def _array_kernel(kernel):
@@ -264,16 +273,13 @@ def dilatation(f: HarmonicMap, z):
     Raises
     ------
     SingularDerivativeError
-        If ``|h'(z)| <= SINGULAR_TOL * max(|h'|, |g'|)`` at any requested
-        point, the largest finite ``|h'|`` and ``|g'|`` over the requested
-        points, so that the test does not depend on the scale of the map.
+        If ``h'`` vanishes at a requested point against the largest finite
+        ``|h'|`` and ``|g'|`` there (see :func:`_vanishes`).
     """
     _check_domain(f, z)
     hp, gp = f.h.deriv(z), f.g.deriv(z)
-    size = np.abs([hp, gp])
-    if np.min(np.abs(hp)) <= SINGULAR_TOL * np.max(size, where=np.isfinite(size), initial=0.0):
-        bad = np.ravel(z)[int(np.argmin(np.abs(np.ravel(hp))))]
-        raise SingularDerivativeError(f"h'(z) vanishes at z = {bad}")
+    if (k := _vanishes(hp, [hp, gp])) is not None:
+        raise SingularDerivativeError(f"h'(z) vanishes at z = {np.ravel(z)[k]}")
     return gp / hp
 
 

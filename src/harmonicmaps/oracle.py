@@ -13,20 +13,18 @@ oracles attack the conclusion directly at fixed resolution:
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
 scans (and :func:`distortion.check_pairwise_bound`) share one exact kernel,
 :func:`_run_pair_min`.  It starts from the least value of each item against
-the next item it may pair with, values runs of consecutive items against
-themselves, then only the run pairs whose image boxes lie close enough to
-beat the least value so far.  It hands that value, with its slack, to the
-pair function as ``at_most``: a pair above it may come back as inf, so
-:func:`curve_simplicity` runs the full segment test only on the pairs whose
-own boxes lie that close.  Its report is that of the scan over every pair,
-ties included, at flat memory.  Every batch is valued into scratch that
+the next item it may pair with, then values each run of consecutive items
+against itself and, of the other run pairs, only those whose image boxes
+lie close enough to beat the least value so far.  It hands that value, with
+its slack, to the pair function as ``at_most``: a pair above it may come
+back as inf, so :func:`curve_simplicity` runs the full segment test only on
+the pairs whose own boxes lie that close.  Its report is that of the scan
+over every pair, ties included, at flat memory.  Every batch is valued into scratch that
 :func:`_scratch` allocates once per scan, so a pair function's result holds
 only until its next call, and no batch allocates an array of its own size.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -118,18 +116,18 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     ``lo_k``, ``hi_k``), over ``|pts_j - pts_i|`` when ``pts`` is given.  The
     least value starts as that of each item of ``order`` against the item
     ``gap`` places after it, cyclically.  Runs of RUN items of ``order`` (the
-    last padded with its own last item) are then valued against themselves,
-    and a run pair only while its bound is at most the least value so far
-    (with PRUNE_SLACK).  ``pair_value(i, j, at_most)`` gets index arrays that
-    broadcast together (the m starting pairs, then shapes (k, RUN, 1) and
-    (k, 1, RUN)) and ``at_most``, the least value so far with PRUNE_SLACK.
-    It must return the exact value of every pair whose value is at most
-    ``at_most``; for any other pair it may return anything above ``at_most``,
-    such as inf.  It must be symmetric and not NaN in range; pairs with
-    ``|i - j| < gap`` are dropped.  The returned array need stay valid only
-    until the next call, so a pair function may value every batch into one
-    scratch (see :func:`_scratch`).  Ties go to the lowest (i, j), as in the
-    scan over every pair.
+    last padded with its own last item) are then paired: a run with itself is
+    always valued, two runs only while their bound is at most the least value
+    so far (with PRUNE_SLACK).  ``pair_value(i, j, at_most)`` gets index
+    arrays that broadcast together (the m starting pairs, then shapes
+    (k, RUN, 1) and (k, 1, RUN)) and ``at_most``, the least value so far with
+    PRUNE_SLACK.  It must return the exact value of every pair whose value is
+    at most ``at_most``; for any other pair it may return anything above
+    ``at_most``, such as inf.  It must be symmetric and not NaN in range;
+    pairs with ``|i - j| < gap`` are dropped.  The returned array need stay
+    valid only until the next call, so a pair function may value every batch
+    into one scratch (see :func:`_scratch`).  Ties go to the lowest (i, j), as
+    in the scan over every pair.
     """
     m = order.size
     runs = np.concatenate([order, np.repeat(order[-1], -m % RUN)]).reshape(-1, RUN)
@@ -137,24 +135,21 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     slack = _box_slack(lo, hi)
     per = max(1, PAIR_BLOCK // RUN ** 2)
     apart = _scratch(m, bool, bool)
-    # Run pair (a, b) is a * n + b: the diagonal, then the rest of the square.
-    diagonal = np.arange(n) * (n + 1)
-    square = (np.arange(k, min(k + PAIR_BLOCK, n * n)) for k in range(0, n * n, PAIR_BLOCK))
     with np.errstate(divide="ignore", invalid="ignore"):
         i, j = order, np.roll(order, -gap)
         v = np.asarray(pair_value(i, j, np.inf), dtype=float)
         v[np.abs(i - j) < gap] = np.inf
         best = _least(v, i, j, m)
-        for chunk in itertools.chain([diagonal], square):
-            a, b = np.divmod(chunk, n)
-            bound = np.full(n, -np.inf)
-            if chunk is not diagonal:
-                a, b = a[a < b], b[a < b]
-                bound = _run_distance(lo, hi, runs, a, b) - slack
-                if pts is not None:
-                    bound /= _run_distance(pts, pts, runs, a, b, far=True)
-                by_bound = np.argsort(bound, kind="stable")
-                a, b, bound = a[by_bound], b[by_bound], bound[by_bound]
+        # Run pair (a, b), a <= b, is a * n + b; a run against itself is always valued.
+        for k in range(0, n * n, PAIR_BLOCK):
+            a, b = np.divmod(np.arange(k, min(k + PAIR_BLOCK, n * n)), n)
+            a, b = a[a <= b], b[a <= b]
+            bound = _run_distance(lo, hi, runs, a, b) - slack
+            if pts is not None:
+                bound /= _run_distance(pts, pts, runs, a, b, far=True)
+            bound[a == b] = -np.inf
+            by_bound = np.argsort(bound, kind="stable")
+            a, b, bound = a[by_bound], b[by_bound], bound[by_bound]
             start = 0
             while True:
                 at_most = best[0] * (1.0 + PRUNE_SLACK)
@@ -165,7 +160,7 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
                 start = stop
                 i, j = runs[ra][:, :, None], runs[rb][:, None, :]
                 v = np.asarray(pair_value(i, j, at_most), dtype=float)
-                if gap > 1 or chunk is diagonal:  # only a run against itself repeats an item
+                if gap > 1 or (ra == rb).any():  # only a run against itself repeats an item
                     # |i - j| < gap, as i < j + gap and j < i + gap.
                     close, other = apart(i, j)
                     np.less(i, j + gap, out=close)

@@ -576,6 +576,11 @@ def test_spec_file_indirection(capsys, tmp_path):
     # Only gallery maps without parameters can be named as G.
     (["check", "--named", "h0", "--criterion", "theoremB",
       "--G-named", "f_k"], "invalid choice: 'f_k'"),
+    # g is judged against the scale of h, so a small map keeps its g.
+    (["check", "--spec", '{"type":"series","h":[1e-12],"g":[5e-13]}',
+      "--criterion", "philike"], "needs an analytic map"),
+    (["herglotz", "--spec", '{"type":"series","h":[1e-12],"g":[5e-13]}',
+      "--measure", '{"atoms":[[0,1]]}'], "needs an analytic map"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)
