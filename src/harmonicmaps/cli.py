@@ -103,11 +103,12 @@ def _grid_from_args(args) -> GridSpec:
     return GridSpec(n_radial=args.n_radial, n_angular=args.n_angular, r_max=args.r_max)
 
 
-def _analytic_part(f: HarmonicMap, what: str) -> AnalyticFunction:
-    """The h part of a map whose g and g' vanish at the probes against h and h' there."""
-    probes = np.array([0.0, 0.3 + 0.2j, -0.4j]) * min(1.0, f.domain_radius)
-    g = np.max(np.abs([f.g.eval(probes), f.g.deriv(probes)]))
-    if _vanishes(g, [f.h.eval(probes), f.h.deriv(probes)]) is None:
+def _analytic_part(f: HarmonicMap, what: str, grid: GridSpec) -> AnalyticFunction:
+    """The h part of a map whose g and g' vanish against h and h' on the grid's outer
+    circle, where an analytic part is largest over the grid's disk (maximum modulus)."""
+    ring = grid.r_max * np.exp(2j * np.pi * np.arange(grid.n_angular) / grid.n_angular)
+    g = np.max(np.abs([f.g.eval(ring), f.g.deriv(ring)]))
+    if _vanishes(g, [f.h.eval(ring), f.h.deriv(ring)]) is None:
         raise ValueError(f"{what} needs an analytic map (co-analytic part must vanish)")
     return f.h
 
@@ -142,14 +143,14 @@ def _verdict_exit(verdict) -> int:
 
 
 def _check_philike(args, f, grid):
-    fn = _analytic_part(f, "the ratio test")
+    fn = _analytic_part(f, "the ratio test", grid)
     alpha = jsonio._finite_real(args.spiral_alpha, "--spiral-alpha")
     Phi = from_series([np.exp(1j * alpha)], description=f"e^(i*{alpha:g})*w")
     return check_philike(fn, Phi, grid)
 
 
 def _check_theoremB(args, f, grid):
-    G = _analytic_part(gallery_get(args.G_named), f"comparison map {args.G_named!r}")
+    G = _analytic_part(gallery_get(args.G_named), f"comparison map {args.G_named!r}", grid)
     return check_theoremB(f, G, grid, n_gamma=args.n_gamma)
 
 
@@ -240,8 +241,8 @@ def cmd_herglotz(args):
     params = jsonio.structural_params_from_dict(
         _load_json_arg(args.params, "structural params") if args.params else {})
     f = _map_from_args(args)
-    fn = _analytic_part(f, "the structural identity")
     grid = _grid_from_args(args)
+    fn = _analytic_part(f, "the structural identity", grid)
     deviation = verify_structural_identity(fn, mu, params, grid)
     sample_w = fn.eval(0.5 * np.exp(2j * np.pi * np.arange(8) / 8))
     phi_vals = build_phi(lambda w: invert(HarmonicMap.from_analytic(fn), w),

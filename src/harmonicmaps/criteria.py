@@ -25,12 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .mappings import (
     AnalyticFunction,
     GridSpec,
     HarmonicMap,
     WirtingerFunction,
     DEFAULT_GRID,
+    _check_domain,
     _vanishes,
     composed_wirtinger,
 )
@@ -85,6 +87,17 @@ def _nonfinite_report(criterion, values, pts, grid):
     return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
                        witness=complex(pts[int(np.argmax(bad))]), grid=grid,
                        meta={"failure": "non-finite evaluation"})
+
+
+def _domain_report(criterion, maps, pts, grid):
+    """Inconclusive report if a sample lies outside the domain of one of ``maps``, or None."""
+    try:
+        for fn in maps:
+            _check_domain(fn, pts)
+    except DomainError as exc:
+        return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"), grid=grid,
+                           meta={"failure": str(exc)})
+    return None
 
 
 def _worst_sample(criterion, values, pts, grid):
@@ -180,15 +193,15 @@ def check_corollary1(f: HarmonicMap, phi: WirtingerFunction,
 def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
                    grid: GridSpec = DEFAULT_GRID,
                    n_epsilon: int = DEFAULT_N_EPSILON) -> CheckReport:
-    """Directional half-plane criterion over ``n_epsilon`` unimodular directions.
+    """Directional half-plane criterion over every unimodular direction ``eps``.
 
-    For each direction ``eps`` the values ``W_eps(z) = Psi_z + eps*Psi_zbar``
-    must avoid 0 and fit in an open half-plane through the origin.  The
-    half-plane test is the discrete one: the largest circular gap among the
-    sorted arguments must exceed pi.  The margin is the worst angular slack
-    ``(gap - pi)/2`` over all directions, and ``gamma`` is the admissible
-    rotation for the worst direction (computed from the gap midpoint, no
-    search).
+    ``W_eps(z) = Psi_z + eps*Psi_zbar`` must avoid 0 for every ``eps``: it vanishes for
+    some ``eps`` iff ``|Psi_z| = |Psi_zbar|``, so a zero of that difference at a sample,
+    or both of its signs on the grid, is violated ("W vanishes") at the sample nearest a
+    zero, ``epsilon`` being the direction that kills W there.  W must also fit in an open
+    half-plane for each of ``n_epsilon`` sampled ``eps``: the largest circular gap among
+    its sorted arguments must exceed pi.  The margin is the worst slack ``(gap - pi)/2``,
+    and ``gamma`` the rotation for the worst direction (from the gap midpoint, no search).
     """
     if n_epsilon < 4:
         raise ValueError("need at least 4 unimodular directions")
@@ -197,27 +210,25 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     if fail is not None:
         return fail
     psi_z, psi_zb = partials
+    # |W_eps| >= ||Psi_z| - |Psi_zbar||, with equality at one eps, and
+    # |W_eps| <= |Psi_z| + |Psi_zbar|, the scale "vanishes" is judged against.
+    size_z, size_zb = np.abs(psi_z), np.abs(psi_zb)
+    diff = size_z - size_zb
+    if _vanishes(diff, size_z + size_zb) is not None or (diff.max() > 0.0 > diff.min()):
+        k = int(np.abs(diff).argmin())
+        eps = float(np.angle(-psi_z[k] * np.conj(psi_zb[k])) % (2.0 * np.pi))
+        return CheckReport("theorem1", VERDICT_VIOLATED, 0.0, witness=complex(pts[k]), grid=grid,
+                           meta={"n_epsilon": n_epsilon, "epsilon": eps, "failure": "W vanishes"})
+    del size_z, size_zb, diff
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
-    # |W_eps| <= |Psi_z| + |Psi_zbar| for every eps, so "W vanishes" is
-    # judged against that bound.
-    w_scale = np.max(np.abs(psi_z) + np.abs(psi_zb))
-    worst = None  # (margin, gamma, witness_idx, eps_angle)
-    for ang in eps_angles:
-        w = psi_z + np.exp(1j * ang) * psi_zb
-        if (kz := _vanishes(w, w_scale)) is not None:
-            return CheckReport("theorem1", VERDICT_VIOLATED, 0.0,
-                               witness=complex(pts[kz]), grid=grid,
-                               meta={"n_epsilon": n_epsilon, "epsilon": float(ang),
-                                     "failure": "W vanishes"})
-        gap, mid, edge = largest_argument_gap(w)
-        margin = (gap - np.pi) / 2.0
-        gamma = _wrap_angle(-(mid + np.pi))
-        if worst is None or margin < worst[0]:
-            worst = (margin, gamma, edge, float(ang))
-    margin, gamma, edge, ang = worst
-    return CheckReport("theorem1", _verdict_from_margin(margin), float(margin),
-                       witness=complex(pts[edge]), gamma=gamma, grid=grid,
-                       meta={"n_epsilon": n_epsilon, "worst_epsilon": ang})
+    gaps = [largest_argument_gap(psi_z + np.exp(1j * ang) * psi_zb) for ang in eps_angles]
+    margins = [(gap - np.pi) / 2.0 for gap, _, _ in gaps]
+    j = int(np.argmin(margins))
+    _, mid, edge = gaps[j]
+    return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
+                       witness=complex(pts[edge]), gamma=_wrap_angle(-(mid + np.pi)),
+                       grid=grid, meta={"n_epsilon": n_epsilon,
+                                        "worst_epsilon": float(eps_angles[j])})
 
 
 def _best_rotation(slack_of_gamma, n_gamma):
@@ -242,6 +253,8 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     if n_gamma < 8:
         raise ValueError("need at least 8 rotation candidates")
     pts = grid.points()
+    if (fail := _domain_report(criterion, (f,) if G is None else (f, G), pts, grid)) is not None:
+        return fail
     hp, gp = f.h.deriv(pts), f.g.deriv(pts)
     if G is not None:
         Gp = G.deriv(pts)
@@ -302,6 +315,8 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     the scan inconclusive.
     """
     pts = grid.points()
+    if (fail := _domain_report("philike", (f,), pts, grid)) is not None:
+        return fail
     z = pts[1:]  # grid puts the origin first
     denom = Phi.eval(f.eval(z))
     if (kz := _vanishes(denom, denom)) is not None:

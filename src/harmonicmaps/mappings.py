@@ -43,7 +43,6 @@ def _vanishes(values, scale):
     the largest finite ``|scale|``, else None: zero at the scale of the map, not absolute."""
     size, scale = np.abs(values).ravel(), np.abs(scale)
     k = int(size.argmin())
-    # Array methods, not np.max(...): theorem1 calls this once per direction.
     return k if size[k] <= SINGULAR_TOL * scale.max(where=scale < np.inf, initial=0.0) else None
 
 

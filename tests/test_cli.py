@@ -23,6 +23,8 @@ from harmonicmaps.mappings import AnalyticFunction
 H0_SAFE_BUDGET = 0.99 * 0.5 * (80.0 / 2916.0)
 H0_RAW_BUDGET = 0.5 * (80.0 / 2916.0)
 DATA = Path(__file__).parent / "data"
+DOUBLE_ZERO_G = ('{"type":"series","h":[1],'
+                 '"g":[0,[-0.008,-0.0192],[0,0.104],[0.21,-0.36],[-0.6,0.4],1]}')
 
 
 def run_cli(capsys, argv):
@@ -81,6 +83,8 @@ def test_check_theorem1_linear_phi_vanishing_direction(capsys):
         EXIT_VIOLATED)
     assert payload["verdict"] == "violated"
     assert payload["meta"]["failure"] == "W vanishes"
+    assert payload["witness"] == [0.0, 0.0]
+    assert payload["meta"]["epsilon"] == math.pi
 
 
 def test_check_theorem1_f_k_report_bytes(capsys):
@@ -581,6 +585,12 @@ def test_spec_file_indirection(capsys, tmp_path):
       "--criterion", "philike"], "needs an analytic map"),
     (["herglotz", "--spec", '{"type":"series","h":[1e-12],"g":[5e-13]}',
       "--measure", '{"atoms":[[0,1]]}'], "needs an analytic map"),
+    # g = z^2 (z - 0.3 - 0.2i)^2 (z + 0.4i)^2 has double zeros where a few fixed
+    # probes would look; the grid's outer circle sees it.
+    (["check", "--spec", DOUBLE_ZERO_G, "--criterion", "philike"],
+     "error: the ratio test needs an analytic map"),
+    (["herglotz", "--spec", DOUBLE_ZERO_G, "--measure", '{"atoms":[[0,1]]}'],
+     "error: the structural identity needs an analytic map"),
 ])
 def test_input_errors_exit_two(capsys, argv, needle):
     code, _, err = run_cli(capsys, argv)

@@ -196,8 +196,9 @@ def test_theorem1_vanishing_w_is_violated_with_witness():
     # phi = w - wbar makes W_1(z) = 2i Im h'(z), which vanishes at z = 0.
     rep = check_theorem1(gallery_get("h0"), linear_wirtinger(1.0, -1.0), GRID_05)
     assert rep.verdict == VERDICT_VIOLATED
-    assert rep.witness is not None
+    assert rep.witness == 0j
     assert rep.meta.get("failure") == "W vanishes"
+    assert rep.meta["epsilon"] == 0.0
 
 
 def test_theorem1_requires_four_directions():
@@ -392,6 +393,21 @@ def test_nonfinite_sample_is_inconclusive(scan):
     assert rep.meta == {"failure": "non-finite evaluation"}
 
 
+@pytest.mark.parametrize("scan", [
+    lambda f, grid: check_theorem1(f, linear_wirtinger(1.0, 0.0), grid),
+    lambda f, grid: check_corollary1(f, linear_wirtinger(1.0, 0.0), grid),
+    lambda f, grid: check_theoremA(f, grid),
+    lambda f, grid: check_theoremB(f, identity_function(), grid),
+    lambda f, grid: check_theoremB(gallery_get("identity"), f.h, grid),
+    lambda f, grid: check_philike(f.h, identity_function(), grid),
+], ids=["theorem1", "corollary1", "theoremA", "theoremB-f", "theoremB-G", "philike"])
+def test_grid_outside_the_domain_is_inconclusive(scan):
+    # h1 is defined for |z| < 0.999; no scan may evaluate it beyond.
+    rep = scan(gallery_get("h1"), GridSpec(10, 24, 0.9995))
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.meta == {"failure": "|z| = 0.9995 outside domain radius 0.999"}
+
+
 # ---------------------------------------------------------------------------
 # sufficiency: where a criterion holds, the oracles find f univalent
 
@@ -431,13 +447,7 @@ def test_a_criterion_that_holds_is_borne_out_by_the_oracles(a, b, scale, analyti
                     g=from_series(np.zeros(3) if analytic else scale * np.array(b)))
     if _criteria_that_hold(f, SUFFICIENCY_GRID, analytic) and not _oracles_hold(f):
         # A sampled criterion can miss f failing between its samples.
-        held = _criteria_that_hold(f, FINE_GRID, analytic)
-        if held == {"theorem1"}:
-            # Known gap (ROADMAP item 5): where |h'| = |g'|, W_eps vanishes
-            # for a direction eps between the 64 that theorem1 samples.
-            assert not jacobian_positivity_scan(f, FINE_GRID).holds
-        else:
-            assert not held
+        assert not _criteria_that_hold(f, FINE_GRID, analytic)
 
 
 def test_a_critical_point_between_samples_shows_on_a_finer_grid():
@@ -452,15 +462,15 @@ def test_a_critical_point_between_samples_shows_on_a_finer_grid():
     assert not _criteria_that_hold(f, FINE_GRID, True)
 
 
-@pytest.mark.xfail(strict=True, reason="theorem1 tests 64 directions, not every one "
-                   "(ROADMAP item 5)")
 def test_theorem1_fails_where_W_vanishes_between_its_directions():
     # The Jacobian 0.75 - x - 2y changes sign, so f is not univalent.
     # W_eps = h' + eps conj(g') is zero on the chord x + 2y = 0.75 for the
     # one direction eps = e^{-0.927i}, and fits a half-plane for every other.
     f = HarmonicMap(h=from_series([1.0, 0.5j]), g=from_series([0.5j, 0.5j]))
-    assert not check_theorem1(f, linear_wirtinger(1.0, 0.0), SUFFICIENCY_GRID,
-                              n_epsilon=1024).holds
+    rep = check_theorem1(f, linear_wirtinger(1.0, 0.0), SUFFICIENCY_GRID, n_epsilon=1024)
+    assert rep.verdict == VERDICT_VIOLATED
+    assert rep.meta["failure"] == "W vanishes"
+    assert_allclose(rep.meta["epsilon"], 2.0 * np.pi - np.arctan2(4.0, 3.0), atol=1e-2)
 
 
 # ---------------------------------------------------------------------------
