@@ -45,6 +45,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 DEFAULT_N_EPSILON = 64
 # Default number of coarse rotation candidates before golden-section refinement.
 DEFAULT_N_GAMMA = 32
+# A wrap gap read off the extreme arguments must exceed pi by this much: far
+# above the few-ulp rounding of a float64 gap near pi, far below any margin
+# reported.
+_GAP_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,17 +147,34 @@ def largest_argument_gap(values):
 
     Ties: the wrap gap wins, then the first of equal gaps in angle order; the
     edge is the highest index among equal arguments.
+
+    A gap wider than pi that contains direction pi is the wrap gap, so it is
+    read off the least and greatest argument without a sort.  The read takes
+    the float operations of the sorted scan, so it returns its bits; it is
+    accepted only beyond pi by ``_GAP_BAND``, where float64 rounding cannot
+    tie it with another gap.  Every other gap, float32 arguments and
+    non-finite input come from the sort.
     """
     args = np.angle(values)
+    if args.size == 1:
+        return 2.0 * np.pi, args[0] + np.pi, 0
+    if args.dtype == np.float64:
+        greatest = args.max()
+        wrap = args.min() + 2.0 * np.pi - greatest
+        if wrap > np.pi + _GAP_BAND:
+            return _gap_at(args, wrap, greatest)
     sorted_args = np.sort(args)
-    if sorted_args.size == 1:
-        return 2.0 * np.pi, sorted_args[0] + np.pi, 0
     diffs = np.diff(sorted_args)
     wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
     k = int(np.argmax(diffs))
-    # Either way ``lo`` closes its run of equal arguments, so the opening
-    # sample is the last index holding that value.
     gap, lo = (wrap, sorted_args[-1]) if wrap >= diffs[k] else (diffs[k], sorted_args[k])
+    return _gap_at(args, gap, lo)
+
+
+def _gap_at(args, gap, lo):
+    """``(gap, mid, edge)`` for the gap of width ``gap`` opened by argument ``lo``."""
+    # ``lo`` closes its run of equal arguments, so the opening sample is the
+    # last index holding that value.
     edge = int(np.flatnonzero(args == lo)[-1])
     return float(gap), float(lo + gap / 2.0), edge
 
@@ -200,7 +221,7 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     or both of its signs on the grid, is violated ("W vanishes") at the sample nearest a
     zero, ``epsilon`` being the direction that kills W there.  W must also fit in an open
     half-plane for each of ``n_epsilon`` sampled ``eps``: the largest circular gap among
-    its sorted arguments must exceed pi.  The margin is the worst slack ``(gap - pi)/2``,
+    its arguments must exceed pi.  The margin is the worst slack ``(gap - pi)/2``,
     and ``gamma`` the rotation for the worst direction (from the gap midpoint, no search).
     """
     if n_epsilon < 4:
@@ -221,7 +242,11 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
                            meta={"n_epsilon": n_epsilon, "epsilon": eps, "failure": "W vanishes"})
     del size_z, size_zb, diff
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
-    gaps = [largest_argument_gap(psi_z + np.exp(1j * ang) * psi_zb) for ang in eps_angles]
+    w = np.empty_like(psi_z)
+    gaps = []
+    for ang in eps_angles:
+        np.multiply(np.exp(1j * ang), psi_zb, out=w)
+        gaps.append(largest_argument_gap(np.add(psi_z, w, out=w)))
     margins = [(gap - np.pi) / 2.0 for gap, _, _ in gaps]
     j = int(np.argmin(margins))
     _, mid, edge = gaps[j]

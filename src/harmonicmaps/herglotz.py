@@ -34,6 +34,7 @@ from .mappings import (
     WirtingerFunction,
     DEFAULT_GRID,
     FD_STEP,
+    _vanishes,
     eval_map,
 )
 
@@ -184,7 +185,7 @@ def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float) -> AnalyticFu
 
     def value(w):
         pp = np.asarray(phi_prime(w), dtype=complex)
-        if np.min(np.abs(pp)) <= 1e-300:
+        if _vanishes(pp, pp) is not None:
             raise SingularDerivativeError("phi'(w) vanishes")
         return invert(fh, w) / (np.exp(1j * gamma) * pp)
 

@@ -27,8 +27,13 @@ from harmonicmaps import (
     linear_wirtinger,
 )
 from harmonicmaps import gallery
-from harmonicmaps.criteria import _wrap_angle, golden_section_max, largest_argument_gap
-from harmonicmaps.mappings import AnalyticFunction, combination
+from harmonicmaps.criteria import (
+    DEFAULT_N_EPSILON,
+    _wrap_angle,
+    golden_section_max,
+    largest_argument_gap,
+)
+from harmonicmaps.mappings import AnalyticFunction, combination, composed_wirtinger
 
 GRID_05 = GridSpec(40, 96, 0.5)
 GRID_09 = GridSpec(40, 96, 0.9)
@@ -119,6 +124,65 @@ def test_largest_gap_matches_stable_sort_with_forced_ties(n):
         assert largest_argument_gap(w) == stable_sort_gap(w)
 
 
+def cone(n, center, width, rng):
+    """``n`` unit values, in shuffled order, whose arguments fill the closed
+    arc of ``width`` around ``center``, both ends included."""
+    return rng.permutation(np.exp(1j * (center + width * np.linspace(-0.5, 0.5, n))))
+
+
+# (label, values of size n, whether the wrap gap read off the extreme
+# arguments answers without a sort)
+FAST_PATH_CASES = [
+    ("cone around 0", lambda n, rng: cone(n, 0.0, 2.0, rng), True),
+    ("cone around pi across the cut", lambda n, rng: cone(n, np.pi, 2.0, rng), False),
+    ("cone around 0, width pi - 1e-8", lambda n, rng: cone(n, 0.0, np.pi - 1e-8, rng), True),
+    ("cone around pi, width pi - 1e-8", lambda n, rng: cone(n, np.pi, np.pi - 1e-8, rng), False),
+    ("cone around 0, width pi - 1e-12", lambda n, rng: cone(n, 0.0, np.pi - 1e-12, rng), False),
+    ("cone around pi, width pi - 1e-12", lambda n, rng: cone(n, np.pi, np.pi - 1e-12, rng), False),
+    ("cone around 0, width pi + 1e-12", lambda n, rng: cone(n, 0.0, np.pi + 1e-12, rng), False),
+    ("cone around 0, width pi + 1e-8", lambda n, rng: cone(n, 0.0, np.pi + 1e-8, rng), False),
+    ("cone around pi, width pi + 1e-8", lambda n, rng: cone(n, np.pi, np.pi + 1e-8, rng), False),
+    ("full circle", lambda n, rng: cone(n, 1.0, 2.0 * np.pi, rng), False),
+    ("all equal", lambda n, rng: np.full(n, 2.0 + 3.0j), True),
+    ("all +0.0", lambda n, rng: np.full(n, complex(1.0, 0.0)), True),
+    ("all -0.0", lambda n, rng: np.full(n, complex(1.0, -0.0)), True),
+    ("+0.0 and -0.0", lambda n, rng: rng.choice([complex(1.0, 0.0), complex(1.0, -0.0)], n), True),
+    ("all pi", lambda n, rng: np.full(n, complex(-1.0, 0.0)), True),
+    ("all -pi", lambda n, rng: np.full(n, complex(-1.0, -0.0)), True),
+    ("pi and -pi", lambda n, rng: rng.choice([complex(-1.0, 0.0), complex(-1.0, -0.0)], n), False),
+    # float32 arguments round too coarsely for the band, so they sort.
+    ("complex64 cone around 0", lambda n, rng: cone(n, 0.0, 2.0, rng).astype(np.complex64), False),
+    ("complex64 cone around pi",
+     lambda n, rng: cone(n, np.pi, 2.0, rng).astype(np.complex64), False),
+]
+
+
+@pytest.mark.parametrize("n", [3841, 61441])
+@pytest.mark.parametrize("values, fast", [pytest.param(values, fast, id=label)
+                                          for label, values, fast in FAST_PATH_CASES])
+def test_largest_gap_extremes_match_stable_sort(monkeypatch, n, values, fast):
+    w = values(n, np.random.default_rng(n))
+    sorted_sizes, real_sort = [], np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    assert largest_argument_gap(w) == stable_sort_gap(w)
+    # The sort of every argument runs exactly when the wrap read does not answer.
+    assert (n in sorted_sizes) is not fast
+
+
+def test_largest_gap_leaves_nan_to_the_sort():
+    # Without the NaN the wrap read would answer; with it the extremes are NaN.
+    w = cone(3841, 0.0, 2.0, np.random.default_rng(0))
+    w[1] = complex(np.nan, 0.0)
+    gap, _, edge = largest_argument_gap(w)
+    ref_gap, _, ref_edge = stable_sort_gap(w)
+    assert np.isnan(gap) and np.isnan(ref_gap) and edge == ref_edge
+
+
 def test_golden_section_finds_cosine_peak():
     x, v = golden_section_max(np.cos, -1.0, 1.5, tol=1e-8)
     assert abs(x) < 1e-6 and v > 1.0 - 1e-10
@@ -199,6 +263,31 @@ def test_theorem1_vanishing_w_is_violated_with_witness():
     assert rep.witness == 0j
     assert rep.meta.get("failure") == "W vanishes"
     assert rep.meta["epsilon"] == 0.0
+
+
+def reference_theorem1(f, phi, grid, n_epsilon=DEFAULT_N_EPSILON):
+    """(margin, witness, gamma, worst epsilon) from a stable sort per direction."""
+    pts = grid.points()
+    psi_z, psi_zb = composed_wirtinger(f, phi, pts)
+    angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
+    gaps = [stable_sort_gap(psi_z + np.exp(1j * ang) * psi_zb) for ang in angles]
+    margins = [(gap - np.pi) / 2.0 for gap, _, _ in gaps]
+    j = int(np.argmin(margins))
+    _, mid, edge = gaps[j]
+    return float(margins[j]), complex(pts[edge]), _wrap_angle(-(mid + np.pi)), float(angles[j])
+
+
+@pytest.mark.parametrize("name", ["f_k", "h0", "koebe", "cayley"])
+@pytest.mark.parametrize("a, b", [(2.0, -1.0), (-2.0, 1.0), (2.0j, -1.0j)])
+def test_theorem1_matches_stable_sort_per_direction(name, a, b):
+    f = gallery_get(name, {"k": 0.5} if name == "f_k" else None)
+    phi = linear_wirtinger(a, b)
+    rep = check_theorem1(f, phi, GRID_09)
+    margin, witness, gamma, eps = reference_theorem1(f, phi, GRID_09)
+    assert rep.meta.get("failure") is None
+    assert rep.verdict == (VERDICT_HOLDS if margin > 0.0 else VERDICT_VIOLATED)
+    assert (rep.margin, rep.witness, rep.gamma, rep.meta["worst_epsilon"]) == \
+        (margin, witness, gamma, eps)
 
 
 def test_theorem1_requires_four_directions():

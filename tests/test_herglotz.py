@@ -254,6 +254,18 @@ def test_big_phi_rejects_vanishing_phi_prime():
         big_phi_function(f, lambda w: 0.0 + 0.0j, 0.0).eval(0.3 + 0.0j)
 
 
+def test_big_phi_judges_vanishing_phi_prime_against_its_own_scale():
+    f = AnalyticFunction(eval=lambda z: np.asarray(z, dtype=complex),
+                         deriv=lambda z: np.ones_like(np.asarray(z, dtype=complex)))
+    w = np.array([0.1, 0.2 + 0.1j, 0.3])
+    # phi' at about 1e-16 of its largest value vanishes at the scale of phi'.
+    with pytest.raises(SingularDerivativeError):
+        big_phi_function(f, lambda w: np.array([1.0, 1e-16, 2.0]) + 0.0j, 0.0).eval(w)
+    # A phi' that is small everywhere is only a small scale, not a zero.
+    assert_allclose(big_phi_function(f, lambda w: 1e-200 + 0.0j, 0.0).eval(w), w * 1e200,
+                    rtol=1e-10, atol=0)
+
+
 def test_big_phi_koebe_closure():
     """The measure behind the Koebe map turns its ratio target into w itself."""
     f = gallery_get("koebe").h
