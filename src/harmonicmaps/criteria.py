@@ -154,28 +154,39 @@ def largest_argument_gap(values):
     accepted only beyond pi by ``_GAP_BAND``, where float64 rounding cannot
     tie it with another gap.  Every other gap, float32 arguments and
     non-finite input come from the sort.
+
+    NaN: a NaN value has no argument, so a gap read across it is NaN, and
+    ``mid`` with it.  When the sort sets a NaN argument to open the gap, as
+    it does when every value is NaN, the edge is the last NaN sample, the
+    rule for equal arguments.
     """
     args = np.angle(values)
     if args.size == 1:
-        return 2.0 * np.pi, args[0] + np.pi, 0
+        # One argument leaves the whole circle free, unless it is NaN.
+        gap = np.nan if np.isnan(args[0]) else 2.0 * np.pi
+        return gap, float(args[0] + np.pi), 0
+    return _gap_at(args, *_widest_gap(args))
+
+
+def _widest_gap(args):
+    """``(gap, lo)``: the widest gap among two or more arguments and the argument opening it."""
     if args.dtype == np.float64:
         greatest = args.max()
         wrap = args.min() + 2.0 * np.pi - greatest
         if wrap > np.pi + _GAP_BAND:
-            return _gap_at(args, wrap, greatest)
+            return wrap, greatest
     sorted_args = np.sort(args)
     diffs = np.diff(sorted_args)
     wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
     k = int(np.argmax(diffs))
-    gap, lo = (wrap, sorted_args[-1]) if wrap >= diffs[k] else (diffs[k], sorted_args[k])
-    return _gap_at(args, gap, lo)
+    return (wrap, sorted_args[-1]) if wrap >= diffs[k] else (diffs[k], sorted_args[k])
 
 
 def _gap_at(args, gap, lo):
     """``(gap, mid, edge)`` for the gap of width ``gap`` opened by argument ``lo``."""
     # ``lo`` closes its run of equal arguments, so the opening sample is the
-    # last index holding that value.
-    edge = int(np.flatnonzero(args == lo)[-1])
+    # last index holding that value; NaN equals nothing, so it matches NaN.
+    edge = int(np.flatnonzero(np.isnan(args) if np.isnan(lo) else args == lo)[-1])
     return float(gap), float(lo + gap / 2.0), edge
 
 
@@ -243,37 +254,38 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     del size_z, size_zb, diff
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
     w = np.empty_like(psi_z)
-    gaps = []
-    for ang in eps_angles:
+    re, im, args = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
+
+    def arguments(ang):
+        # np.angle's arctan2 over contiguous copies of W's parts: the same
+        # bits in half the time of the strided views.
         np.multiply(np.exp(1j * ang), psi_zb, out=w)
-        gaps.append(largest_argument_gap(np.add(psi_z, w, out=w)))
-    margins = [(gap - np.pi) / 2.0 for gap, _, _ in gaps]
+        np.add(psi_z, w, out=w)
+        np.copyto(re, w.real)
+        np.copyto(im, w.imag)
+        return np.arctan2(im, re, out=args)
+
+    gaps = [_widest_gap(arguments(ang)) for ang in eps_angles]
+    margins = [(gap - np.pi) / 2.0 for gap, _ in gaps]
     j = int(np.argmin(margins))
-    _, mid, edge = gaps[j]
+    _, mid, edge = _gap_at(arguments(eps_angles[j]), *gaps[j])
     return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
                        witness=complex(pts[edge]), gamma=_wrap_angle(-(mid + np.pi)),
                        grid=grid, meta={"n_epsilon": n_epsilon,
                                         "worst_epsilon": float(eps_angles[j])})
 
 
-def _best_rotation(slack_of_gamma, n_gamma):
-    """Coarse scan over [0, 2pi) then golden-section polish of the best candidate."""
-    candidates = 2.0 * np.pi * np.arange(n_gamma) / n_gamma
-    vals = [slack_of_gamma(g) for g in candidates]
-    k = int(np.argmax(vals))
-    half = 2.0 * np.pi / n_gamma
-    gamma, margin = golden_section_max(slack_of_gamma, candidates[k] - half,
-                                       candidates[k] + half)
-    # Keep the coarse winner if polishing drifted into a worse spot.
-    if vals[k] > margin:
-        gamma, margin = candidates[k], vals[k]
-    return _wrap_angle(gamma), margin
-
-
 def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     """Best rotation gamma for ``Re(e^{i gamma} h'/G') > |g'/G'|`` on the grid.
 
-    Without a comparison map ``G``, ``G' = 1`` and nothing is divided.
+    Without a comparison map ``G``, ``G' = 1`` and nothing is divided.  A
+    coarse scan of ``n_gamma`` angles over [0, 2pi) picks a winner, and a
+    golden-section search polishes it within ``half = 2pi/n_gamma``.  On that
+    bracket a sample's slack ``s`` moves by at most ``reach = |h'|*half`` from
+    its value ``s0`` at the winner, since ``|d/dgamma Re(e^{i gamma} h')| <=
+    |h'|``.  A sample with ``s0 - reach > min(s0 + reach)`` therefore never
+    holds the minimum there (``reach`` also covers rounding), and the polish
+    and the witness value only the others.
     """
     if n_gamma < 8:
         raise ValueError("need at least 8 rotation candidates")
@@ -291,14 +303,36 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     gp_abs = np.abs(gp)
     if (fail := _nonfinite_report(criterion, hp + gp_abs, pts, grid)) is not None:
         return fail
+    rotated, slack = np.empty_like(hp), np.empty(hp.shape)
 
-    def slack(gamma):
-        return np.real(np.exp(1j * gamma) * hp) - gp_abs
+    def slack_at(gamma, hp, gp_abs):
+        """``Re(e^{i gamma} h') - |g'|`` per sample, written into scratch."""
+        n = hp.size
+        np.multiply(np.exp(1j * gamma), hp, out=rotated[:n])
+        return np.subtract(rotated[:n].real, gp_abs, out=slack[:n])
 
-    gamma, margin = _best_rotation(lambda g: float(np.min(slack(g))), n_gamma)
-    k = int(np.argmin(slack(gamma)))
+    candidates = 2.0 * np.pi * np.arange(n_gamma) / n_gamma
+    vals = [float(np.min(slack_at(g, hp, gp_abs))) for g in candidates]
+    k = int(np.argmax(vals))
+    half = 2.0 * np.pi / n_gamma
+    # Rounding moves a slack by a few ulps of |h'| + |g'|; 1e-12 of the
+    # largest of each covers it.
+    reach = np.abs(hp)
+    slop = 1e-12 * (reach.max() + gp_abs.max())
+    reach *= half
+    reach += slop
+    s0 = slack_at(candidates[k], hp, gp_abs)
+    kept = np.flatnonzero(s0 - reach <= np.min(s0 + reach))
+    hp, gp_abs = hp[kept], gp_abs[kept]
+    gamma, margin = golden_section_max(lambda g: float(np.min(slack_at(g, hp, gp_abs))),
+                                       candidates[k] - half, candidates[k] + half)
+    # Keep the coarse winner if polishing drifted into a worse spot.
+    if vals[k] > margin:
+        gamma, margin = candidates[k], vals[k]
+    gamma = _wrap_angle(gamma)
+    witness = kept[int(np.argmin(slack_at(gamma, hp, gp_abs)))]
     return CheckReport(criterion, _verdict_from_margin(margin), margin,
-                       witness=complex(pts[k]), gamma=gamma, grid=grid,
+                       witness=complex(pts[witness]), gamma=gamma, grid=grid,
                        meta={"n_gamma": n_gamma, **meta})
 
 
@@ -308,7 +342,10 @@ def check_theoremA(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID,
 
     The margin reported is ``max_gamma min_z`` of the slack; the maximizing
     gamma is recorded.  A negative margin means no rotation works on this
-    grid, and a non-finite derivative makes the scan inconclusive.
+    grid, and a non-finite derivative makes the scan inconclusive.  The
+    polish around the best coarse angle values only the samples that the
+    Lipschitz bound ``|d/dgamma Re(e^{i gamma} h')| <= |h'|`` leaves able to
+    hold the minimum; the rest cannot change the margin or the witness.
     """
     return _rotation_search("theoremA", f, None, grid, n_gamma, {})
 

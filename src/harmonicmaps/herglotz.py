@@ -267,9 +267,10 @@ def _nearest_seeds(cloud, w):
     basis = np.stack([2.0 * images.real, 2.0 * images.imag, -np.abs(images) ** 2])
     targets = np.stack([w.real, w.imag, np.ones(w.size)], axis=1)
     out = np.empty_like(w)
+    score = np.empty((min(w.size, _SEED_BLOCK), seeds.size))
     for lo in range(0, w.size, _SEED_BLOCK):
-        score = targets[lo:lo + _SEED_BLOCK] @ basis
-        out[lo:lo + _SEED_BLOCK] = seeds[np.argmax(score, axis=1)]
+        block = np.matmul(targets[lo:lo + _SEED_BLOCK], basis, out=score[:w.size - lo])
+        out[lo:lo + _SEED_BLOCK] = seeds[np.argmax(block, axis=1)]
     return out
 
 

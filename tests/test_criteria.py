@@ -29,6 +29,7 @@ from harmonicmaps import (
 from harmonicmaps import gallery
 from harmonicmaps.criteria import (
     DEFAULT_N_EPSILON,
+    DEFAULT_N_GAMMA,
     _wrap_angle,
     golden_section_max,
     largest_argument_gap,
@@ -55,9 +56,9 @@ def pole_function(pole):
 
 
 def test_largest_gap_single_value():
-    gap, mid, edge = largest_argument_gap(np.array([1.0 + 0.0j]))
-    assert gap == 2.0 * np.pi
-    assert edge == 0
+    gap, mid, edge = largest_argument_gap(np.array([1.0j]))
+    assert (gap, mid, edge) == (2.0 * np.pi, np.pi / 2.0 + np.pi, 0)
+    assert type(gap) is float and type(mid) is float
 
 
 def test_largest_gap_quarter_plane():
@@ -183,6 +184,36 @@ def test_largest_gap_leaves_nan_to_the_sort():
     assert np.isnan(gap) and np.isnan(ref_gap) and edge == ref_edge
 
 
+# A NaN opening the gap selects the last NaN, like the tie rule for equal
+# arguments; a gap read across a NaN is NaN.
+@pytest.mark.parametrize("values, edge", [
+    ([complex(np.nan, np.nan)], 0),
+    ([complex(np.nan, np.nan)] * 2, 1),
+    ([complex(np.nan, np.nan)] * 5, 4),
+    ([1.0 + 1.0j, np.nan, 1.0j], 2),
+])
+def test_largest_gap_with_nan_is_nan(values, edge):
+    gap, mid, got = largest_argument_gap(np.array(values))
+    assert np.isnan(gap) and np.isnan(mid) and got == edge
+
+
+def test_contiguous_arctan2_matches_angle_bit_for_bit():
+    # check_theorem1 takes its arguments from np.arctan2 on contiguous copies
+    # of W's parts; the gap rule keeps np.angle's bits only while the two agree.
+    rng = np.random.default_rng(2015)
+    n = 200_000
+    mags = 10.0 ** rng.uniform(-320, 308, n)
+    broad = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    pairs = np.array([complex(x, y) for x in specials for y in specials])
+    for values in (np.array(TIE_VALUES), broad, pairs,
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        args = np.empty(values.shape)
+        np.arctan2(np.ascontiguousarray(values.imag), np.ascontiguousarray(values.real),
+                   out=args)
+        assert np.array_equal(args.view(np.uint64), np.angle(values).view(np.uint64))
+
+
 def test_golden_section_finds_cosine_peak():
     x, v = golden_section_max(np.cos, -1.0, 1.5, tol=1e-8)
     assert abs(x) < 1e-6 and v > 1.0 - 1e-10
@@ -277,11 +308,20 @@ def reference_theorem1(f, phi, grid, n_epsilon=DEFAULT_N_EPSILON):
     return float(margins[j]), complex(pts[edge]), _wrap_angle(-(mid + np.pi)), float(angles[j])
 
 
-@pytest.mark.parametrize("name", ["f_k", "h0", "koebe", "cayley"])
-@pytest.mark.parametrize("a, b", [(2.0, -1.0), (-2.0, 1.0), (2.0j, -1.0j)])
-def test_theorem1_matches_stable_sort_per_direction(name, a, b):
+THEOREM1_REFERENCE_CASES = [
+    *[(name, (a, b)) for name in ("f_k", "h0", "koebe", "cayley")
+      for a, b in ((2.0, -1.0), (-2.0, 1.0), (2.0j, -1.0j))],
+    # phi = f^{-1}, the benchmark's most frequent path: on the identity every
+    # argument is equal and the gap is the whole 2pi wrap.
+    ("identity", "inverse"),
+    ("h1", "inverse"),
+]
+
+
+@pytest.mark.parametrize("name, phi_spec", THEOREM1_REFERENCE_CASES)
+def test_theorem1_matches_stable_sort_per_direction(name, phi_spec):
     f = gallery_get(name, {"k": 0.5} if name == "f_k" else None)
-    phi = linear_wirtinger(a, b)
+    phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
     rep = check_theorem1(f, phi, GRID_09)
     margin, witness, gamma, eps = reference_theorem1(f, phi, GRID_09)
     assert rep.meta.get("failure") is None
@@ -400,6 +440,60 @@ def test_theoremB_judges_G_prime_against_its_own_scale():
     tiny = check_theoremB(koebe, combination([(1e-16, cayley, 1.0)]))
     assert tiny.verdict == base.verdict == VERDICT_HOLDS
     assert_allclose(tiny.margin, 1e16 * base.margin, rtol=1e-9)
+
+
+def reference_rotation(f, G, grid, n_gamma=DEFAULT_N_GAMMA):
+    """(margin, gamma, witness) of a rotation search that polishes over every sample."""
+    pts = grid.points()
+    hp, gp = f.h.deriv(pts), f.g.deriv(pts)
+    if G is not None:
+        hp, gp = hp / G.deriv(pts), gp / G.deriv(pts)
+
+    def worst(gamma):
+        return float(np.min(np.real(np.exp(1j * gamma) * hp) - np.abs(gp)))
+
+    candidates = 2.0 * np.pi * np.arange(n_gamma) / n_gamma
+    vals = [worst(g) for g in candidates]
+    k = int(np.argmax(vals))
+    half = 2.0 * np.pi / n_gamma
+    gamma, margin = golden_section_max(worst, candidates[k] - half, candidates[k] + half)
+    if vals[k] > margin:
+        gamma, margin = candidates[k], vals[k]
+    gamma = _wrap_angle(gamma)
+    witness = int(np.argmin(np.real(np.exp(1j * gamma) * hp) - np.abs(gp)))
+    return margin, gamma, complex(pts[witness])
+
+
+def cubic_map():
+    # A fixed random cubic h = z + a2 z^2 + a3 z^3 with a nonzero cubic g.
+    rng = np.random.default_rng(19)
+    a = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    b = 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return HarmonicMap(h=from_series([1.0, *a]), g=from_series(b))
+
+
+ROTATION_REFERENCE_CASES = [
+    # The identity ties every sample at every rotation, so none is pruned.
+    ("identity", None, GRID_09),
+    ("h0", None, GRID_09),
+    ("f_k", None, GRID_09),
+    ("cubic", None, GRID_09),
+    ("koebe", "cayley", GRID_09),
+    ("f_k", "cayley", GRID_09),
+    ("f_k", None, GridSpec(160, 384, 0.99)),
+    ("koebe", "cayley", GridSpec(160, 384, 0.99)),
+]
+
+
+@pytest.mark.parametrize("name, G_name, grid", ROTATION_REFERENCE_CASES)
+def test_rotation_polish_matches_a_full_grid_reference(name, G_name, grid):
+    f = cubic_map() if name == "cubic" else gallery_get(name, {"k": 0.5} if name == "f_k" else None)
+    if G_name is None:
+        rep, G = check_theoremA(f, grid), None
+    else:
+        G = gallery_get(G_name).h
+        rep = check_theoremB(f, G, grid)
+    assert (rep.margin, rep.gamma, rep.witness) == reference_rotation(f, G, grid)
 
 
 # ---------------------------------------------------------------------------
