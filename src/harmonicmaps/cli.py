@@ -28,6 +28,8 @@ from . import jsonio
 from .construct import _min_slack, budget_audit, conjugate_z_perturbation
 from .construct import construct as build_map
 from .criteria import (
+    DEFAULT_N_EPSILON,
+    DEFAULT_N_GAMMA,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
@@ -46,6 +48,7 @@ from .herglotz import (
     verify_structural_identity,
 )
 from .mappings import (
+    DEFAULT_GRID,
     AnalyticFunction,
     GridSpec,
     HarmonicMap,
@@ -286,9 +289,9 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="function-spec JSON, inline or @file")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, r_max=0.95) -> None:
-    p.add_argument("--n-radial", type=int, default=40)
-    p.add_argument("--n-angular", type=int, default=96)
+def _add_grid_flags(p: argparse.ArgumentParser, r_max=DEFAULT_GRID.r_max) -> None:
+    p.add_argument("--n-radial", type=int, default=DEFAULT_GRID.n_radial)
+    p.add_argument("--n-angular", type=int, default=DEFAULT_GRID.n_angular)
     p.add_argument("--r-max", type=float, default=r_max, dest="r_max")
 
 
@@ -321,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = command("check", cmd_check, "run a criterion or oracle scan",
                  _add_map_flags, _add_grid_flags)
     pc.add_argument("--criterion", choices=CRITERIA, required=True)
-    pc.add_argument("--n-epsilon", type=int, default=64, dest="n_epsilon",
+    pc.add_argument("--n-epsilon", type=int, default=DEFAULT_N_EPSILON, dest="n_epsilon",
                     help="unimodular directions for the directional criterion")
-    pc.add_argument("--n-gamma", type=int, default=32, dest="n_gamma",
+    pc.add_argument("--n-gamma", type=int, default=DEFAULT_N_GAMMA, dest="n_gamma",
                     help="coarse rotation candidates for the gamma search")
     pc.add_argument("--phi", choices=("inverse", "linear"), default="inverse",
                     help="comparison function for theorem1/corollary1")

@@ -83,14 +83,21 @@ def _verdict_from_margin(margin: float) -> str:
     return VERDICT_HOLDS if margin > 0.0 else VERDICT_VIOLATED
 
 
+def _failure_report(criterion, grid, failure, witness=None,
+                    verdict=VERDICT_INCONCLUSIVE, **meta):
+    """The report of a scan stopped by ``failure``: margin NaN when inconclusive, else 0."""
+    margin = float("nan") if verdict == VERDICT_INCONCLUSIVE else 0.0
+    return CheckReport(criterion, verdict, margin,
+                       witness=None if witness is None else complex(witness), grid=grid,
+                       meta={"failure": failure, **meta})
+
+
 def _nonfinite_report(criterion, values, pts, grid):
     """Inconclusive report at the first sample whose value is not finite, or None."""
     bad = ~np.isfinite(values)
     if not np.any(bad):
         return None
-    return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
-                       witness=complex(pts[int(np.argmax(bad))]), grid=grid,
-                       meta={"failure": "non-finite evaluation"})
+    return _failure_report(criterion, grid, "non-finite evaluation", pts[int(np.argmax(bad))])
 
 
 def _domain_report(criterion, maps, pts, grid):
@@ -99,8 +106,7 @@ def _domain_report(criterion, maps, pts, grid):
         for fn in maps:
             _check_domain(fn, pts)
     except DomainError as exc:
-        return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"), grid=grid,
-                           meta={"failure": str(exc)})
+        return _failure_report(criterion, grid, str(exc))
     return None
 
 
@@ -165,7 +171,11 @@ def largest_argument_gap(values):
         # One argument leaves the whole circle free, unless it is NaN.
         gap = np.nan if np.isnan(args[0]) else 2.0 * np.pi
         return gap, float(args[0] + np.pi), 0
-    return _gap_at(args, *_widest_gap(args))
+    gap, lo = _widest_gap(args)
+    # ``lo`` closes its run of equal arguments, so the opening sample is the
+    # last index holding that value; NaN equals nothing, so it matches NaN.
+    edge = int(np.flatnonzero(np.isnan(args) if np.isnan(lo) else args == lo)[-1])
+    return float(gap), float(lo + gap / 2.0), edge
 
 
 def _widest_gap(args):
@@ -182,14 +192,6 @@ def _widest_gap(args):
     return (wrap, sorted_args[-1]) if wrap >= diffs[k] else (diffs[k], sorted_args[k])
 
 
-def _gap_at(args, gap, lo):
-    """``(gap, mid, edge)`` for the gap of width ``gap`` opened by argument ``lo``."""
-    # ``lo`` closes its run of equal arguments, so the opening sample is the
-    # last index holding that value; NaN equals nothing, so it matches NaN.
-    edge = int(np.flatnonzero(np.isnan(args) if np.isnan(lo) else args == lo)[-1])
-    return float(gap), float(lo + gap / 2.0), edge
-
-
 def _wrap_angle(a):
     """Map an angle to (-pi, pi]."""
     a = float((a + np.pi) % (2.0 * np.pi) - np.pi)
@@ -201,8 +203,7 @@ def _composed_partials(f, phi, pts, criterion, grid):
     try:
         psi_z, psi_zb = composed_wirtinger(f, phi, pts)
     except Exception as exc:  # evaluation failure anywhere -> inconclusive
-        return None, CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
-                                 witness=None, grid=grid, meta={"failure": str(exc)})
+        return None, _failure_report(criterion, grid, str(exc))
     fail = _nonfinite_report(criterion, psi_z + psi_zb, pts, grid)
     return ((psi_z, psi_zb) if fail is None else None), fail
 
@@ -249,8 +250,8 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     if _vanishes(diff, size_z + size_zb) is not None or (diff.max() > 0.0 > diff.min()):
         k = int(np.abs(diff).argmin())
         eps = float(np.angle(-psi_z[k] * np.conj(psi_zb[k])) % (2.0 * np.pi))
-        return CheckReport("theorem1", VERDICT_VIOLATED, 0.0, witness=complex(pts[k]), grid=grid,
-                           meta={"n_epsilon": n_epsilon, "epsilon": eps, "failure": "W vanishes"})
+        return _failure_report("theorem1", grid, "W vanishes", pts[k], VERDICT_VIOLATED,
+                               n_epsilon=n_epsilon, epsilon=eps)
     del size_z, size_zb, diff
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
     w = np.empty_like(psi_z)
@@ -268,7 +269,8 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     gaps = [_widest_gap(arguments(ang)) for ang in eps_angles]
     margins = [(gap - np.pi) / 2.0 for gap, _ in gaps]
     j = int(np.argmin(margins))
-    _, mid, edge = _gap_at(arguments(eps_angles[j]), *gaps[j])
+    arguments(eps_angles[j])  # refills w with the worst direction's W
+    _, mid, edge = largest_argument_gap(w)
     return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
                        witness=complex(pts[edge]), gamma=_wrap_angle(-(mid + np.pi)),
                        grid=grid, meta={"n_epsilon": n_epsilon,
@@ -296,9 +298,7 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     if G is not None:
         Gp = G.deriv(pts)
         if (kz := _vanishes(Gp, Gp)) is not None:
-            return CheckReport(criterion, VERDICT_INCONCLUSIVE, float("nan"),
-                               witness=complex(pts[kz]), grid=grid,
-                               meta={"failure": "G' vanishes at a sample", **meta})
+            return _failure_report(criterion, grid, "G' vanishes at a sample", pts[kz], **meta)
         hp, gp = hp / Gp, gp / Gp
     gp_abs = np.abs(gp)
     if (fail := _nonfinite_report(criterion, hp + gp_abs, pts, grid)) is not None:
@@ -382,18 +382,14 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     z = pts[1:]  # grid puts the origin first
     denom = Phi.eval(f.eval(z))
     if (kz := _vanishes(denom, denom)) is not None:
-        return CheckReport("philike", VERDICT_VIOLATED, 0.0,
-                           witness=complex(z[kz]), grid=grid,
-                           meta={"failure": "Phi(f(z)) vanishes"})
+        return _failure_report("philike", grid, "Phi(f(z)) vanishes", z[kz], VERDICT_VIOLATED)
     # z f'(z)/Phi(f(z)) tends to 1/Phi'(f(0)) when f'(0) != 0 = Phi(f(0)); a
     # map with f'(0) = 0 is not univalent and, like Phi(f(0)) != 0, gets 0.
     f0 = f.eval(0j)
     origin = 0.0
     if _vanishes(Phi.eval(f0), denom) is not None:
         if (dphi := Phi.deriv(f0)) == 0:
-            return CheckReport("philike", VERDICT_INCONCLUSIVE, float("nan"),
-                               witness=0j, grid=grid,
-                               meta={"failure": "Phi'(f(0)) vanishes"})
+            return _failure_report("philike", grid, "Phi'(f(0)) vanishes", 0j)
         if f.deriv(0j) != 0:
             origin = np.real(1.0 / dphi)
     values = np.concatenate(([origin], np.real(z * f.deriv(z) / denom)))

@@ -213,7 +213,8 @@ class GridSpec:
     """Polar sample grid on the closed disk ``|z| <= r_max`` including z=0.
 
     The sample count is ``n_radial * n_angular + 1``; radii are
-    ``r_max * i/n_radial`` (i = 1..n_radial) and angles ``2*pi*j/n_angular``.
+    ``r_max * i/n_radial`` (i = 1..n_radial), the last exactly ``r_max``, and
+    angles ``2*pi*j/n_angular``.
     """
 
     n_radial: int = 40
@@ -236,6 +237,7 @@ class GridSpec:
         if rmax == 0.0:
             return np.zeros(1, dtype=complex)
         radii = rmax * np.arange(1, self.n_radial + 1) / self.n_radial
+        radii[-1] = rmax  # (rmax*n)/n can miss rmax by an ulp
         angles = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         zs = np.outer(radii, np.exp(1j * angles)).ravel()
         return np.concatenate(([0.0 + 0.0j], zs))

@@ -32,6 +32,7 @@ from .criteria import (
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     CheckReport,
+    _failure_report,
     _nonfinite_report,
     _worst_sample,
 )
@@ -299,9 +300,8 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     m = p.size
     # Below four segments the only non-adjacent pair, if any, is the wrap pair.
     if m < 4:
-        return CheckReport("curve-simplicity", VERDICT_VIOLATED, 0.0,
-                           witness=complex(circle[0]), grid=grid,
-                           meta={"failure": "image polyline degenerate"})
+        return _failure_report("curve-simplicity", grid, "image polyline degenerate",
+                               circle[0], VERDICT_VIOLATED)
     a, b = p, np.roll(p, -1)
 
     def orient(u, v, w):

@@ -18,7 +18,8 @@ import pytest
 
 from harmonicmaps import HarmonicMap, cli, sunflower_points
 from harmonicmaps.cli import EXIT_HOLDS, EXIT_INPUT, EXIT_VIOLATED, main
-from harmonicmaps.mappings import AnalyticFunction
+from harmonicmaps.criteria import DEFAULT_N_EPSILON, DEFAULT_N_GAMMA
+from harmonicmaps.mappings import DEFAULT_GRID, AnalyticFunction
 
 H0_SAFE_BUDGET = 0.99 * 0.5 * (80.0 / 2916.0)
 H0_RAW_BUDGET = 0.5 * (80.0 / 2916.0)
@@ -622,6 +623,13 @@ def test_main_builds_its_parser_once(capsys):
     assert [run_cli(capsys, argv) for argv in calls] == first
     a, b = (cli._parser().parse_args(argv) for argv in calls)
     assert (a.param, b.param) == (["r=0.5"], ["k=0.5"])
+
+
+def test_parser_defaults_are_the_library_defaults():
+    args = cli._parser().parse_args(["check", "--named", "h0", "--criterion", "theorem1"])
+    assert (args.n_radial, args.n_angular, args.r_max) == (
+        DEFAULT_GRID.n_radial, DEFAULT_GRID.n_angular, DEFAULT_GRID.r_max)
+    assert (args.n_epsilon, args.n_gamma) == (DEFAULT_N_EPSILON, DEFAULT_N_GAMMA)
 
 
 def test_cli_import_leaves_out_the_xml_stack():

@@ -257,6 +257,7 @@ def test_normalize_passthrough():
     f2, params = normalize(f)
     assert f2 is f
     assert params.is_identity
+    assert undo_normalize(f2, params) is f2
 
 
 def test_normalize_f_k_gives_h0():

@@ -26,7 +26,7 @@ from harmonicmaps import (
     jacobian_positivity_scan,
     linear_wirtinger,
 )
-from harmonicmaps import gallery
+from harmonicmaps import criteria, gallery
 from harmonicmaps.criteria import (
     DEFAULT_N_EPSILON,
     DEFAULT_N_GAMMA,
@@ -494,6 +494,27 @@ def test_rotation_polish_matches_a_full_grid_reference(name, G_name, grid):
         G = gallery_get(G_name).h
         rep = check_theoremB(f, G, grid)
     assert (rep.margin, rep.gamma, rep.witness) == reference_rotation(f, G, grid)
+
+
+def test_rotation_search_keeps_the_coarse_winner_when_the_polish_drifts_lower(monkeypatch):
+    # A polish that returns a bracket end lands on a coarse neighbour, which
+    # the winner beats, so the report keeps the winner's angle and margin.
+    ends = []
+
+    def bracket_end(fn, lo, hi, tol=1e-6):
+        ends.append(fn(lo))
+        return lo, ends[-1]
+
+    monkeypatch.setattr(criteria, "golden_section_max", bracket_end)
+    f = gallery_get("f_k", {"k": 0.5})
+    rep = check_theoremA(f, GRID_09)
+    pts = GRID_09.points()
+    hp, gp = f.h.deriv(pts), f.g.deriv(pts)
+    candidates = 2.0 * np.pi * np.arange(DEFAULT_N_GAMMA) / DEFAULT_N_GAMMA
+    vals = [float(np.min(np.real(np.exp(1j * g) * hp) - np.abs(gp))) for g in candidates]
+    k = int(np.argmax(vals))
+    assert len(ends) == 1 and ends[0] < vals[k]
+    assert (rep.gamma, rep.margin) == (_wrap_angle(candidates[k]), vals[k])
 
 
 # ---------------------------------------------------------------------------

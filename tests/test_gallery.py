@@ -115,6 +115,13 @@ def test_h1_image_avoids_unit_disk_and_slit():
     assert not np.any(in_band)
 
 
+@pytest.mark.parametrize("value", [-2.0, 0.0, -0.5 + 1e-10j])
+def test_assert_off_cut_refuses_a_value_on_the_cut(value):
+    with pytest.raises(ValueError, match="branch cut"):
+        gallery._assert_off_cut([1.0 + 1.0j, value], "test value")
+    gallery._assert_off_cut([1.0 + 1.0j, value + 1e-3j], "test value")
+
+
 def test_h_r_is_dilated_h1():
     h1 = gallery_get("h1")
     hr = gallery_get("h_r", {"r": 0.5})

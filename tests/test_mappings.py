@@ -24,7 +24,7 @@ from harmonicmaps import (
     jacobian,
     linear_wirtinger,
 )
-from harmonicmaps.construct import conjugate_z_perturbation, construct, normalize
+from harmonicmaps.construct import A_GRID, conjugate_z_perturbation, construct, normalize
 from harmonicmaps.gallery import names as gallery_names
 from harmonicmaps.herglotz import big_phi_function, structural_phi_prime
 from harmonicmaps.mappings import (
@@ -231,6 +231,13 @@ def test_grid_count_and_bounds():
     assert pts.size == 7 * 12 + 1
     assert pts[0] == 0
     assert np.max(np.abs(pts)) <= 0.6 + 1e-15
+
+
+@pytest.mark.parametrize("grid", [GridSpec(3, 8, 0.7), A_GRID])
+def test_grid_reaches_r_max_exactly(grid):
+    # rmax * n / n rounds below rmax on these two grids.
+    radii = grid.points()[1::grid.n_angular].real
+    assert radii[-1] == grid.r_max
 
 
 def test_grid_r_max_override():
