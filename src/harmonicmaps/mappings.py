@@ -313,23 +313,3 @@ def derivative_consistency(fn: AnalyticFunction, points):
     scale = np.maximum(np.abs(an), 1.0)
     return float(np.max(np.abs(fd - an) / scale))
 
-
-def wirtinger_fd(func, w):
-    """Finite-difference Wirtinger partials of ``w -> func(w, conj w)``.
-
-    Uses d/dw = (d/dx - i d/dy)/2 and d/d(conj w) = (d/dx + i d/dy)/2.
-    """
-    w = np.asarray(w, dtype=complex)
-    fx, fy = ((func(w + d, np.conj(w + d)) - func(w - d, np.conj(w - d))) / (2.0 * FD_STEP)
-              for d in (FD_STEP, 1j * FD_STEP))
-    return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
-
-
-def composition_fd(f: HarmonicMap, phi: WirtingerFunction, z):
-    """Finite-difference partials of ``z -> phi(f(z), conj f(z))`` for cross-checks."""
-
-    def psi(u, ubar):
-        w = f.h.eval(u) + np.conj(f.g.eval(u))
-        return phi.eval(w, np.conj(w))
-
-    return wirtinger_fd(psi, z)

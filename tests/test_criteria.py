@@ -214,6 +214,37 @@ def test_contiguous_arctan2_matches_angle_bit_for_bit():
         assert np.array_equal(args.view(np.uint64), np.angle(values).view(np.uint64))
 
 
+def directional_arguments(psi_z, psi_zb, ang):
+    """The arguments of ``W = psi_z + e^{i ang} psi_zb`` by check_theorem1's kernels."""
+    w = np.multiply(np.exp(1j * ang), psi_zb)
+    np.add(psi_z, w, out=w)
+    return np.arctan2(np.ascontiguousarray(w.imag), np.ascontiguousarray(w.real))
+
+
+def test_gathered_arctan2_matches_the_full_array_bit_for_bit():
+    # check_theorem1 reads each direction's wrap gap off contiguous copies of
+    # the kept samples only; it has the full array's bits only while each
+    # kernel on the way gives an element the same bits wherever it sits.
+    rng = np.random.default_rng(2021)
+    n = 61441
+    mags = 10.0 ** rng.uniform(-320, 308, n)
+    broad = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    normal = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    subsets = [np.flatnonzero(rng.random(n) < share) for share in (0.001, 0.05, 0.36, 0.9)]
+    subsets += [np.arange(1, n, 3), np.arange(n - 5, n), np.array([0, n - 1])]
+    for values in (broad, normal):
+        full = np.arctan2(np.ascontiguousarray(values.imag), np.ascontiguousarray(values.real))
+        for kept in subsets:
+            part = np.arctan2(values.imag[kept], values.real[kept])
+            assert np.array_equal(part.view(np.uint64), full[kept].view(np.uint64))
+    psi_zb = 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for ang in 2.0 * np.pi * np.arange(0, 64, 7) / 64:
+        full = directional_arguments(normal, psi_zb, ang)
+        for kept in subsets:
+            part = directional_arguments(normal[kept], psi_zb[kept], ang)
+            assert np.array_equal(part.view(np.uint64), full[kept].view(np.uint64))
+
+
 def test_golden_section_finds_cosine_peak():
     x, v = golden_section_max(np.cos, -1.0, 1.5, tol=1e-8)
     assert abs(x) < 1e-6 and v > 1.0 - 1e-10
@@ -308,26 +339,116 @@ def reference_theorem1(f, phi, grid, n_epsilon=DEFAULT_N_EPSILON):
     return float(margins[j]), complex(pts[edge]), _wrap_angle(-(mid + np.pi)), float(angles[j])
 
 
+def crossing_map():
+    # h' = -(1 + 0.6 z) and conj(g') = 0.4 conj(z): with phi = w every W_eps
+    # straddles the negative real axis, where arguments wrap from pi to -pi.
+    return HarmonicMap(h=from_series([-1.0, -0.3]), g=from_series([0.0, 0.2]))
+
+
+GRID_FINE = GridSpec(160, 384, 0.99)
 THEOREM1_REFERENCE_CASES = [
-    *[(name, (a, b)) for name in ("f_k", "h0", "koebe", "cayley")
+    *[(name, (a, b), GRID_09) for name in ("f_k", "h0", "koebe", "cayley")
       for a, b in ((2.0, -1.0), (-2.0, 1.0), (2.0j, -1.0j))],
     # phi = f^{-1}, the benchmark's most frequent path: on the identity every
     # argument is equal and the gap is the whole 2pi wrap.
-    ("identity", "inverse"),
-    ("h1", "inverse"),
+    ("identity", "inverse", GRID_09),
+    ("h1", "inverse", GRID_09),
+    ("crossing", (1.0, 0.0), GRID_09),
+    # |Psi_zbar| > |Psi_z| at every sample, so every sample is valued.
+    ("identity", (0.3, 1.0), GRID_09),
+    ("koebe", (0.3, 1.0), GRID_09),
+    # The benchmark's resolution: (-2, 1) sorts in every direction, (2, -1)
+    # values 36 % of h0's samples and 2 of f_k's.
+    *[(name, (a, b), GRID_FINE) for name in ("f_k", "h0") for a, b in ((2.0, -1.0), (-2.0, 1.0))],
 ]
 
 
-@pytest.mark.parametrize("name, phi_spec", THEOREM1_REFERENCE_CASES)
-def test_theorem1_matches_stable_sort_per_direction(name, phi_spec):
-    f = gallery_get(name, {"k": 0.5} if name == "f_k" else None)
+@pytest.mark.parametrize("name, phi_spec, grid", THEOREM1_REFERENCE_CASES)
+def test_theorem1_matches_stable_sort_per_direction(name, phi_spec, grid):
+    f = crossing_map() if name == "crossing" else \
+        gallery_get(name, {"k": 0.5} if name == "f_k" else None)
     phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
-    rep = check_theorem1(f, phi, GRID_09)
-    margin, witness, gamma, eps = reference_theorem1(f, phi, GRID_09)
+    rep = check_theorem1(f, phi, grid)
+    margin, witness, gamma, eps = reference_theorem1(f, phi, grid)
     assert rep.meta.get("failure") is None
     assert rep.verdict == (VERDICT_HOLDS if margin > 0.0 else VERDICT_VIOLATED)
     assert (rep.margin, rep.witness, rep.gamma, rep.meta["worst_epsilon"]) == \
         (margin, witness, gamma, eps)
+
+
+def kept_samples(f, phi, grid):
+    """The samples check_theorem1 values in every direction, from its private helper."""
+    psi_z, psi_zb = composed_wirtinger(f, phi, grid.points())
+    size_z, size_zb = np.abs(psi_z), np.abs(psi_zb)
+    return criteria._argument_candidates(psi_z, size_z, size_zb, size_z - size_zb)
+
+
+def random_cubic(rng, scale):
+    """h = z + a2 z^2 + a3 z^3 and g = b1 z + b2 z^2 + b3 z^3, all but h's 1 scaled."""
+    a = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 2.0
+    b = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / 4.0
+    return HarmonicMap(h=from_series([1.0, *a]), g=from_series(b))
+
+
+def test_theorem1_prune_matches_stable_sort_on_random_maps():
+    # Random cubic maps, rotated phi, grids and direction counts: the report
+    # equals a stable sort of every direction, on many maps the prune thins.
+    rng = np.random.default_rng(2021)
+    grids = [GridSpec(6, 16, 0.5), GridSpec(12, 32, 0.9), GridSpec(20, 48, 0.9)]
+    compared = pruned = 0
+    for _ in range(400):
+        # Larger coefficients put a zero of h' on the grid, where W vanishes.
+        f = random_cubic(rng, rng.uniform(0.0, 0.6))
+        # |b/a| below 0.8 or above 1.25, so that W vanishes on few maps, and
+        # often small, so that the prune keeps few samples.
+        ratio = rng.uniform(0.0, 0.8) ** (4 * rng.choice([1, -1], p=[0.7, 0.3]))
+        a = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+        phi = linear_wirtinger(a, a * ratio * np.exp(2j * np.pi * rng.random()))
+        grid, n_epsilon = grids[rng.integers(3)], int(rng.integers(4, 80))
+        rep = check_theorem1(f, phi, grid, n_epsilon=n_epsilon)
+        if rep.meta.get("failure") is not None:
+            continue
+        compared += 1
+        pruned += kept_samples(f, phi, grid) is not None
+        assert (rep.margin, rep.witness, rep.gamma, rep.meta["worst_epsilon"]) == \
+            reference_theorem1(f, phi, grid, n_epsilon)
+    assert compared >= 250 and pruned >= 100
+
+
+def test_kept_samples_hold_every_directions_extremes():
+    # Partials drawn directly: arguments in an arc of random centre and width,
+    # some near the cut at pi, and |Psi_zbar|/|Psi_z| up to 0.95, so that some
+    # intervals reach +-pi; 256 directions each.
+    rng = np.random.default_rng(2023)
+    pruned = 0
+    for _ in range(700):
+        n = int(rng.integers(2, 40))
+        arc = rng.uniform(-np.pi, np.pi) + rng.uniform(0.0, 3.0) * rng.uniform(-0.5, 0.5, n)
+        psi_z = rng.uniform(0.5, 2.0, n) * np.exp(1j * arc)
+        q = rng.uniform(0.0, 0.95, n) ** rng.uniform(1.0, 4.0)
+        psi_zb = q * np.abs(psi_z) * np.exp(2j * np.pi * rng.random(n))
+        size_z, size_zb = np.abs(psi_z), np.abs(psi_zb)
+        kept = criteria._argument_candidates(psi_z, size_z, size_zb, size_z - size_zb)
+        if kept is None:
+            continue
+        pruned += 1
+        for ang in 2.0 * np.pi * np.arange(256) / 256:
+            args = directional_arguments(psi_z, psi_zb, ang)
+            assert (args[kept].min(), args[kept].max()) == (args.min(), args.max())
+    assert pruned >= 200
+
+
+def test_theorem1_values_few_samples_per_direction():
+    # Guards the prune against keeping every sample where it should keep few.
+    koebe = gallery_get("koebe")
+    assert kept_samples(koebe, inverse_wirtinger(koebe), GRID_09).size <= 4
+    n = GRID_FINE.n_radial * GRID_FINE.n_angular + 1
+    kept = kept_samples(gallery_get("f_k", {"k": 0.5}), linear_wirtinger(2.0, -1.0), GRID_FINE)
+    assert kept.size < 0.01 * n
+    # Where |Psi_zbar| > |Psi_z|, arg W turns with eps and every sample would be
+    # kept; where the arguments spread beyond pi every direction sorts anyway.
+    assert kept_samples(koebe, linear_wirtinger(0.3, 1.0), GRID_09) is None
+    assert kept_samples(koebe, linear_wirtinger(2.0, -1.0), GRID_09) is None
 
 
 def test_theorem1_requires_four_directions():
@@ -443,7 +564,8 @@ def test_theoremB_judges_G_prime_against_its_own_scale():
 
 
 def reference_rotation(f, G, grid, n_gamma=DEFAULT_N_GAMMA):
-    """(margin, gamma, witness) of a rotation search that polishes over every sample."""
+    """(margin, gamma, witness) of a rotation search that values every coarse
+    angle and polishes over every sample."""
     pts = grid.points()
     hp, gp = f.h.deriv(pts), f.g.deriv(pts)
     if G is not None:
@@ -472,28 +594,78 @@ def cubic_map():
     return HarmonicMap(h=from_series([1.0, *a]), g=from_series(b))
 
 
+def tied_map(grid):
+    """Derivative values on ``grid`` that tie every coarse angle at slack -3.
+
+    At one inner sample h' = 0 and |g'| = 3, so the slack is -3 at every angle.
+    At one rim sample h' = -1 and |g'| = 2, so the outer ring's bound,
+    -2 - cos(gamma), equals that best value at gamma = 0 only; elsewhere
+    h' = 1 and g' = 0.  So the scan reaches angle 0, the lowest index of the
+    tie, last, and must value it although its bound does not exceed the best.
+    """
+    pts = grid.points()
+    inner, rim = pts[1], pts[-1]
+
+    def values(at_inner, at_rim, elsewhere):
+        return lambda z: np.where(z == inner, at_inner, np.where(z == rim, at_rim, elsewhere)) + 0j
+
+    return HarmonicMap(h=AnalyticFunction(eval=values(0.0, -1.0, 1.0), deriv=values(0.0, -1.0, 1.0)),
+                       g=AnalyticFunction(eval=values(3.0, 2.0, 0.0), deriv=values(3.0, 2.0, 0.0)))
+
+
+def test_tied_map_ties_every_coarse_angle():
+    # Guards the premise of the "tied" case below.
+    pts = GRID_09.points()
+    f = tied_map(GRID_09)
+    hp, gp = f.h.deriv(pts), f.g.deriv(pts)
+    candidates = 2.0 * np.pi * np.arange(DEFAULT_N_GAMMA) / DEFAULT_N_GAMMA
+    slack = [np.real(np.exp(1j * g) * hp) - np.abs(gp) for g in candidates]
+    ring = pts.size - GRID_09.n_angular
+    assert all(np.min(s) == -3.0 for s in slack)
+    assert np.min(slack[0][ring:]) == -3.0
+    assert all(np.min(s[ring:]) > -3.0 for s in slack[1:])
+
+
 ROTATION_REFERENCE_CASES = [
     # The identity ties every sample at every rotation, so none is pruned.
     ("identity", None, GRID_09),
     ("h0", None, GRID_09),
     ("f_k", None, GRID_09),
     ("cubic", None, GRID_09),
+    ("tied", None, GRID_09),
     ("koebe", "cayley", GRID_09),
     ("f_k", "cayley", GRID_09),
+    ("identity", None, GridSpec(160, 384, 0.99)),
     ("f_k", None, GridSpec(160, 384, 0.99)),
+    ("h0", None, GridSpec(160, 384, 0.99)),
     ("koebe", "cayley", GridSpec(160, 384, 0.99)),
 ]
 
 
 @pytest.mark.parametrize("name, G_name, grid", ROTATION_REFERENCE_CASES)
 def test_rotation_polish_matches_a_full_grid_reference(name, G_name, grid):
-    f = cubic_map() if name == "cubic" else gallery_get(name, {"k": 0.5} if name == "f_k" else None)
+    if name in ("cubic", "tied"):
+        f = cubic_map() if name == "cubic" else tied_map(grid)
+    else:
+        f = gallery_get(name, {"k": 0.5} if name == "f_k" else None)
     if G_name is None:
         rep, G = check_theoremA(f, grid), None
     else:
         G = gallery_get(G_name).h
         rep = check_theoremB(f, G, grid)
     assert (rep.margin, rep.gamma, rep.witness) == reference_rotation(f, G, grid)
+
+
+def test_rotation_search_matches_a_full_grid_reference_on_random_maps():
+    rng = np.random.default_rng(2022)
+    cayley = gallery_get("cayley").h
+    for _ in range(300):
+        f = random_cubic(rng, rng.uniform(0.0, 1.2))
+        G = cayley if rng.random() < 0.3 else None
+        grid = GridSpec(int(rng.integers(2, 16)), int(rng.integers(8, 48)), 0.9)
+        n_gamma = int(rng.integers(8, 64))
+        rep = check_theoremA(f, grid, n_gamma) if G is None else check_theoremB(f, G, grid, n_gamma)
+        assert (rep.margin, rep.gamma, rep.witness) == reference_rotation(f, G, grid, n_gamma)
 
 
 def test_rotation_search_keeps_the_coarse_winner_when_the_polish_drifts_lower(monkeypatch):

@@ -31,10 +31,29 @@ from harmonicmaps.mappings import (
     FD_STEP,
     analytic_wirtinger,
     combination,
-    composition_fd,
     derivative_consistency,
-    wirtinger_fd,
 )
+
+
+def wirtinger_fd(func, w):
+    """Finite-difference Wirtinger partials of ``w -> func(w, conj w)``.
+
+    Uses d/dw = (d/dx - i d/dy)/2 and d/d(conj w) = (d/dx + i d/dy)/2.
+    """
+    w = np.asarray(w, dtype=complex)
+    fx, fy = ((func(w + d, np.conj(w + d)) - func(w - d, np.conj(w - d))) / (2.0 * FD_STEP)
+              for d in (FD_STEP, 1j * FD_STEP))
+    return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
+
+
+def composition_fd(f, phi, z):
+    """Finite-difference partials of ``z -> phi(f(z), conj f(z))`` for cross-checks."""
+
+    def psi(u, ubar):
+        w = f.h.eval(u) + np.conj(f.g.eval(u))
+        return phi.eval(w, np.conj(w))
+
+    return wirtinger_fd(psi, z)
 
 
 def disk_points(n, r_max=0.85, seed=0):
