@@ -300,9 +300,10 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     Only a few samples can hold a direction's least or greatest argument: when
     ``|Psi_zbar| < |Psi_z|``, ``arg W_eps`` stays within ``arcsin(|Psi_zbar|/|Psi_z|)``
     (plus rounding) of ``arg Psi_z`` for every ``eps`` (:func:`_argument_candidates`).
-    Each direction reads its wrap gap off the arguments of those samples, which have
-    the extremes, and so the bits, of all of them; a direction whose wrap read fails
-    values every sample and sorts.
+    Directions are valued at those samples in blocks, one row each, that fill the
+    scratch one direction over all samples needs; each reads its wrap gap off its
+    row's least and greatest argument, which are those of all samples, with their
+    bits.  A direction whose wrap read fails values every sample and sorts.
     """
     if n_epsilon < 4:
         raise ValueError("need at least 4 unimodular directions")
@@ -327,24 +328,40 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     w = np.empty_like(psi_z)
     re, im, args = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
 
-    def arguments(ang, z=psi_z, zb=psi_zb):
+    def angles(n):
         # np.angle's arctan2 over contiguous copies of W's parts: the same
         # bits in half the time of the strided views.
-        n = z.size
-        np.multiply(np.exp(1j * ang), zb, out=w[:n])
-        np.add(z, w[:n], out=w[:n])
         np.copyto(re[:n], w[:n].real)
         np.copyto(im[:n], w[:n].imag)
         return np.arctan2(im[:n], re[:n], out=args[:n])
 
-    def widest_gap(ang):
-        # The kept samples hold every direction's extreme arguments, so the
-        # wrap read over them has the full one's bits; only where it fails
-        # are all samples valued and sorted.
-        read = None if z_kept is None else _wrap_gap(arguments(ang, z_kept, zb_kept))
-        return read or _widest_gap(arguments(ang))
+    def arguments(ang):
+        """The arguments of W at every sample."""
+        np.multiply(np.exp(1j * ang), psi_zb, out=w)
+        np.add(psi_z, w, out=w)
+        return angles(w.size)
 
-    gaps = [widest_gap(ang) for ang in eps_angles]
+    def kept_arguments(angs):
+        """The arguments of W at the kept samples, one row per direction in ``angs``."""
+        rows = w[:angs.size * z_kept.size].reshape(angs.size, z_kept.size)
+        np.multiply(np.exp(1j * angs)[:, None], zb_kept, out=rows)
+        np.add(z_kept, rows, out=rows)
+        return angles(rows.size).reshape(rows.shape)
+
+    # The kept samples hold every direction's extreme arguments, so a wrap
+    # read over them has the full one's bits.  They fill the scratch in blocks
+    # of directions, and each row is read as _wrap_gap reads; only a direction
+    # whose read fails values all samples and sorts.
+    reads = [None] * n_epsilon
+    if z_kept is not None:
+        per_block = w.size // z_kept.size
+        for lo in range(0, n_epsilon, per_block):
+            block = kept_arguments(eps_angles[lo:lo + per_block])
+            greatest = block.max(axis=1)
+            wrap = block.min(axis=1) + 2.0 * np.pi - greatest
+            for i in np.flatnonzero(wrap > np.pi + _GAP_BAND):
+                reads[lo + i] = (wrap[i], greatest[i])
+    gaps = [read or _widest_gap(arguments(ang)) for ang, read in zip(eps_angles, reads)]
     del z_kept, zb_kept  # so the worst direction's read below peaks no higher
     margins = [(gap - np.pi) / 2.0 for gap, _ in gaps]
     j = int(np.argmin(margins))
@@ -417,7 +434,8 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     reach += slop
     s0 = slack_at(candidates[k], hp, gp_abs)
     kept = np.flatnonzero(s0 - reach <= np.min(s0 + reach))
-    hp, gp_abs = hp[kept], gp_abs[kept]
+    if kept.size < hp.size:  # where every sample ties, as on the identity, all are kept
+        hp, gp_abs = hp[kept], gp_abs[kept]
     gamma, margin = golden_section_max(lambda g: float(np.min(slack_at(g, hp, gp_abs))),
                                        candidates[k] - half, candidates[k] + half)
     # Keep the coarse winner if polishing drifted into a worse spot.

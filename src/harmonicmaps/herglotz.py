@@ -209,42 +209,73 @@ _SEED_BLOCK = 256
 def _clamped(z, clamp):
     """Pull points with ``|z| > clamp`` radially back onto ``|z| = clamp``."""
     mag = np.abs(z)
-    return np.where(mag > clamp, z * (clamp / np.maximum(mag, clamp)), z)
+    outside = mag > clamp
+    if not outside.any():
+        return z
+    return np.where(outside, z * (clamp / np.maximum(mag, clamp)), z)
 
 
-def _newton_sweep(f: HarmonicMap, w, z, bound, clamp):
-    """Damped Newton iterations from the given seeds; returns (z, residual).
+def _same_bits(a, b):
+    """Per element, whether two complex arrays hold the same bits."""
+    return (a.view(np.uint64) == b.view(np.uint64)).reshape(-1, 2).all(axis=1)
 
-    Only targets whose residual still exceeds ``bound`` are iterated.
+
+def _newton_sweep(f: HarmonicMap, w, z, fz, bound, clamp):
+    """Damped Newton iterations from the seeds ``z``, whose images are ``fz``.
+
+    Returns ``(z, residual)``, with the iterates written into ``z``.  Only
+    targets whose residual still exceeds ``bound`` are iterated, and the sweep
+    holds their state in compact arrays, writing it back when a target
+    leaves: when it converges, or when its next iteration would repeat this
+    one bit for bit, because its step stayed worse through 20 halvings or
+    landed on the iterate itself.  A halving values only the targets whose
+    candidate is still worse.  Each kernel gives an element the same bits
+    wherever it sits in the array, so every target takes the arithmetic it
+    would take if all of them ran every pass.
     """
-    z = z.copy()
-    r = w - eval_map(f, z)
-    res = np.abs(r)
+    res = np.abs(w - fz)
+    act = np.flatnonzero(res > bound)
+    za, wa, resa, ba = z[act], w[act], res[act], bound[act]
+    ra = wa - fz[act]
     for _ in range(50):
-        act = np.flatnonzero(res > bound)
         if act.size == 0:
             break
-        za, wa, ra, resa = z[act], w[act], r[act], res[act]
         hp = f.h.deriv(za)
         gp = f.g.deriv(za)
         jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
-        safe = np.abs(jac) > 1e-300
         # Solve f_z*dz + f_zbar*conj(dz) = r with f_z = h', f_zbar = conj(g').
-        step = np.where(safe, np.conj(hp) * ra - np.conj(gp) * np.conj(ra), 0.0) \
-            / np.where(safe, jac, 1.0)
+        step = np.divide(np.conj(hp) * ra - np.conj(gp) * np.conj(ra), jac,
+                         out=np.zeros_like(hp), where=np.abs(jac) > 1e-300)
         scale = np.ones_like(jac)
-        for _half in range(21):
-            cand = _clamped(za + scale * step, clamp)
-            new_r = wa - (f.h.eval(cand) + np.conj(f.g.eval(cand)))
-            new_res = np.abs(new_r)
-            worse = new_res > resa
-            if _half == 20 or not np.any(worse):
+        cand = _clamped(za + scale * step, clamp)
+        new_r = wa - (f.h.eval(cand) + np.conj(f.g.eval(cand)))
+        new_res = np.abs(new_r)
+        worse = np.flatnonzero(new_res > resa)
+        for _half in range(20):
+            if worse.size == 0:
                 break
             scale[worse] /= 2.0
-        # Targets still worse after 20 halvings keep their current iterate.
+            c = _clamped(za[worse] + scale[worse] * step[worse], clamp)
+            cand[worse] = c
+            new_r[worse] = nr = wa[worse] - (f.h.eval(c) + np.conj(f.g.eval(c)))
+            new_res[worse] = nres = np.abs(nr)
+            worse = worse[nres > resa[worse]]
         keep = new_res <= resa
-        idx = act[keep]
-        z[idx], r[idx], res[idx] = cand[keep], new_r[keep], new_res[keep]
+        # A refused step, or a kept one that lands on its own iterate, would
+        # repeat bit for bit, so its target leaves with the converged ones.
+        going = new_res > ba
+        going &= keep
+        if (tie := np.flatnonzero(new_res == resa)).size:
+            going[tie[_same_bits(cand[tie], za[tie])]] = False
+        np.copyto(za, cand, where=keep)
+        np.copyto(ra, new_r, where=keep)
+        np.copyto(resa, new_res, where=keep)
+        if not going.all():
+            done = ~going
+            z[act[done]], res[act[done]] = za[done], resa[done]
+            act = act[going]
+            za, wa, ra, resa, ba = za[going], wa[going], ra[going], resa[going], ba[going]
+    z[act], res[act] = za, resa
     return z, res
 
 
@@ -256,9 +287,8 @@ def _seed_cloud(f: HarmonicMap, radius):
     return seeds, eval_map(f, seeds)
 
 
-def _nearest_seeds(cloud, w):
-    """For each target, the cloud point whose image lies nearest to it."""
-    seeds, images = cloud
+def _nearest_seeds(images, w):
+    """For each target, the index of the seed whose image lies nearest to it."""
     # Measured from f(0), the first image, so that the scores of a translated
     # map do not drown the gaps between them: with w and v taken from f(0),
     # |w - v|^2 = |w|^2 - (2 Re(w conj v) - |v|^2).  The first term is the same
@@ -266,11 +296,11 @@ def _nearest_seeds(cloud, w):
     w, images = w - images[0], images - images[0]
     basis = np.stack([2.0 * images.real, 2.0 * images.imag, -np.abs(images) ** 2])
     targets = np.stack([w.real, w.imag, np.ones(w.size)], axis=1)
-    out = np.empty_like(w)
-    score = np.empty((min(w.size, _SEED_BLOCK), seeds.size))
+    out = np.empty(w.size, dtype=np.intp)
+    score = np.empty((min(w.size, _SEED_BLOCK), images.size))
     for lo in range(0, w.size, _SEED_BLOCK):
         block = np.matmul(targets[lo:lo + _SEED_BLOCK], basis, out=score[:w.size - lo])
-        out[lo:lo + _SEED_BLOCK] = seeds[np.argmax(block, axis=1)]
+        np.argmax(block, axis=1, out=out[lo:lo + _SEED_BLOCK])
     return out
 
 
@@ -282,8 +312,11 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     ``f_zbar = conj(g')`` (plain complex Newton would be wrong for ``g != 0``).
     Steps are halved while they increase the residual, and iterates are
     clamped inside the domain.  Each target starts from the point of a fixed
-    polar seed cloud whose image is nearest to it, so a few steps usually
-    suffice; at most 50 are taken.
+    polar seed cloud whose image is nearest to it, with that image as its
+    first value of ``f``, so a few steps usually suffice; at most 50 are
+    taken.  A target stops when it meets its bound, or when its step stays
+    worse through 20 halvings or lands on the iterate itself, since every
+    later step would repeat that one (see :func:`_newton_sweep`).
 
     Parameters
     ----------
@@ -313,7 +346,8 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     seeds, images = _seed_cloud(f, clamp)
     scale = min(1.0, float(np.max(np.abs(images - images[0]) / np.max(np.abs(seeds)))))
     bound = tol * np.maximum(scale, np.abs(wv))
-    z, res = _newton_sweep(f, wv, _nearest_seeds((seeds, images), wv), bound, clamp)
+    nearest = _nearest_seeds(images, wv)
+    z, res = _newton_sweep(f, wv, seeds[nearest], images[nearest], bound, clamp)
     if np.any(res > bound):
         k = int(np.argmax(res / bound))
         raise InversionError(

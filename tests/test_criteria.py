@@ -221,6 +221,15 @@ def directional_arguments(psi_z, psi_zb, ang):
     return np.arctan2(np.ascontiguousarray(w.imag), np.ascontiguousarray(w.real))
 
 
+def block_arguments(psi_z, psi_zb, angles):
+    """The arguments of W for each direction in ``angles``, one row each, by
+    check_theorem1's kernels for a block of directions."""
+    rows = np.empty((angles.size, psi_z.size), dtype=complex)
+    np.multiply(np.exp(1j * angles)[:, None], psi_zb, out=rows)
+    np.add(psi_z, rows, out=rows)
+    return np.arctan2(np.ascontiguousarray(rows.imag), np.ascontiguousarray(rows.real))
+
+
 def test_gathered_arctan2_matches_the_full_array_bit_for_bit():
     # check_theorem1 reads each direction's wrap gap off contiguous copies of
     # the kept samples only; it has the full array's bits only while each
@@ -243,6 +252,17 @@ def test_gathered_arctan2_matches_the_full_array_bit_for_bit():
         for kept in subsets:
             part = directional_arguments(normal[kept], psi_zb[kept], ang)
             assert np.array_equal(part.view(np.uint64), full[kept].view(np.uint64))
+    # Blocks of directions: check_theorem1 values several directions at the
+    # kept samples with one exp, one broadcast product and sum, and one arctan2.
+    angles = 2.0 * np.pi * np.arange(100) / 100
+    for kept in subsets[:3] + subsets[-2:]:
+        z, zb = normal[kept], psi_zb[kept]
+        single = [directional_arguments(z, zb, ang) for ang in angles]
+        for size in (1, 2, 7, 100):
+            for lo in range(0, angles.size, size):
+                block = block_arguments(z, zb, angles[lo:lo + size])
+                for row, ang_args in zip(block, single[lo:lo + size]):
+                    assert np.array_equal(row.view(np.uint64), ang_args.view(np.uint64))
 
 
 def test_golden_section_finds_cosine_peak():
@@ -363,13 +383,20 @@ THEOREM1_REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, phi_spec, grid", THEOREM1_REFERENCE_CASES)
-def test_theorem1_matches_stable_sort_per_direction(name, phi_spec, grid):
+@pytest.mark.parametrize("name, phi_spec, grid, n_epsilon", [
+    *[(*case, DEFAULT_N_EPSILON) for case in THEOREM1_REFERENCE_CASES],
+    # Other direction counts.  Where few samples are kept, one block holds
+    # every direction; on h0 with (2, -1) at the fine grid a block holds two,
+    # so 7 directions leave the last block half full.
+    *[(*case, n) for case in THEOREM1_REFERENCE_CASES if case[2] is GRID_09 for n in (7, 100)],
+    ("h0", (2.0, -1.0), GRID_FINE, 7),
+])
+def test_theorem1_matches_stable_sort_per_direction(name, phi_spec, grid, n_epsilon):
     f = crossing_map() if name == "crossing" else \
         gallery_get(name, {"k": 0.5} if name == "f_k" else None)
     phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
-    rep = check_theorem1(f, phi, grid)
-    margin, witness, gamma, eps = reference_theorem1(f, phi, grid)
+    rep = check_theorem1(f, phi, grid, n_epsilon)
+    margin, witness, gamma, eps = reference_theorem1(f, phi, grid, n_epsilon)
     assert rep.meta.get("failure") is None
     assert rep.verdict == (VERDICT_HOLDS if margin > 0.0 else VERDICT_VIOLATED)
     assert (rep.margin, rep.witness, rep.gamma, rep.meta["worst_epsilon"]) == \

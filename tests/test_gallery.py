@@ -154,6 +154,27 @@ def test_perturbed_family_identities():
                     rtol=1e-12, atol=1e-12)
 
 
+GATHER_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
+                 "F_eps": {"r": 0.5, "eps": 0.01}, "f_eps": {"r": 0.5, "eps": 0.01}}
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_parts_give_gathered_samples_their_bits_bit_for_bit(name):
+    # Newton's sweep values subsets of its targets, and keeps the bits of
+    # valuing all of them only while each part gives an element the same
+    # bits wherever it sits in the array.
+    f = gallery_get(name, GATHER_PARAMS.get(name))
+    rng = np.random.default_rng(2022)
+    n = 15361
+    z = 0.99 * f.domain_radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    subsets = [np.flatnonzero(rng.random(n) < share) for share in (0.001, 0.05, 0.5)]
+    subsets += [np.arange(1, n, 3), np.arange(n - 5, n), np.array([0, n - 1]), np.array([7])]
+    for fn in (f.h.eval, f.h.deriv, f.g.eval, f.g.deriv):
+        full = fn(z)
+        for kept in subsets:
+            assert np.array_equal(fn(z[kept]).view(np.uint64), full[kept].view(np.uint64))
+
+
 def test_builders_return_fresh_objects():
     a = gallery_get("h0")
     b = gallery_get("h0")

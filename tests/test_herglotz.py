@@ -32,6 +32,7 @@ from harmonicmaps.mappings import (
     combination,
     composed_wirtinger,
     eval_map,
+    from_series,
 )
 
 
@@ -357,6 +358,165 @@ def test_invert_small_translated_map(name, params, a):
     grid = GridSpec(10, 24, 0.9)
     assert check_theorem1(af, inverse_wirtinger(af), grid).holds
     assert check_corollary1(af, inverse_wirtinger(af), grid).holds
+
+
+# ---------------------------------------------------------------------------
+# the Newton sweep against the one it replaced, bit for bit
+
+
+def reference_sweep(f, w, z, bound, clamp, stats=None):
+    """Newton's sweep as it ran before it held only the moving targets.
+
+    Every iteration gathers and scatters all active targets, each halving
+    values all of them, a refused step is retried until the 50th iteration,
+    and the starting residual comes from evaluating ``f`` at the seeds.
+    ``stats`` counts the halving passes and the points evaluated.
+    """
+    def clamped(z):
+        mag = np.abs(z)
+        return np.where(mag > clamp, z * (clamp / np.maximum(mag, clamp)), z)
+
+    stats = {} if stats is None else stats
+    stats.update(halvings=0, evaluations=0)
+    z = z.copy()
+    r = w - eval_map(f, z)
+    res = np.abs(r)
+    for _ in range(50):
+        act = np.flatnonzero(res > bound)
+        if act.size == 0:
+            break
+        za, wa, ra, resa = z[act], w[act], r[act], res[act]
+        hp = f.h.deriv(za)
+        gp = f.g.deriv(za)
+        jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
+        safe = np.abs(jac) > 1e-300
+        step = np.where(safe, np.conj(hp) * ra - np.conj(gp) * np.conj(ra), 0.0) \
+            / np.where(safe, jac, 1.0)
+        scale = np.ones_like(jac)
+        for _half in range(21):
+            cand = clamped(za + scale * step)
+            new_r = wa - (f.h.eval(cand) + np.conj(f.g.eval(cand)))
+            stats["evaluations"] += cand.size
+            new_res = np.abs(new_r)
+            worse = new_res > resa
+            if _half == 20 or not np.any(worse):
+                break
+            stats["halvings"] += 1
+            scale[worse] /= 2.0
+        keep = new_res <= resa
+        idx = act[keep]
+        z[idx], r[idx], res[idx] = cand[keep], new_r[keep], new_res[keep]
+    return z, res
+
+
+def sweep_inputs(f, w, tol=1e-12):
+    """invert's seeds, their images, stop bounds and clamp for the targets ``w``."""
+    clamp = f.domain_radius * (1.0 - 1e-9)
+    seeds, images = herglotz._seed_cloud(f, clamp)
+    scale = min(1.0, float(np.max(np.abs(images - images[0]) / np.max(np.abs(seeds)))))
+    k = herglotz._nearest_seeds(images, w)
+    return seeds[k], images[k], tol * np.maximum(scale, np.abs(w)), clamp
+
+
+def assert_sweep_matches_reference(f, w):
+    """Bit-identical z and residual from the sweep and its reference.
+
+    Returns the reference's stats, with the count of targets left above their bound.
+    """
+    z0, fz, bound, clamp = sweep_inputs(f, w)
+    stats = {}
+    z_ref, res_ref = reference_sweep(f, w, z0, bound, clamp, stats)
+    z, res = herglotz._newton_sweep(f, w, z0, fz, bound, clamp)
+    assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
+    assert np.array_equal(res.view(np.uint64), res_ref.view(np.uint64))
+    stats["unconverged"] = int(np.count_nonzero(res > bound))
+    return stats
+
+
+def counting_map(f):
+    """``f`` with ``h.eval`` counting the points it is asked for, and the count."""
+    count = [0]
+
+    def value(z):
+        count[0] += np.size(z)
+        return f.h.eval(z)
+
+    return HarmonicMap(h=AnalyticFunction(eval=value, deriv=f.h.deriv,
+                                          domain_radius=f.h.domain_radius),
+                       g=f.g, label=f.label), count
+
+
+# The maps of the benchmark's Newton workload.
+NEWTON_MAPS = [("identity", None), ("h0", None), ("f_k", {"k": 0.5}),
+               ("cayley", None), ("koebe", None), ("h1", None)]
+
+
+@pytest.mark.parametrize("name, params, grid", [
+    *[(name, params, GridSpec(40, 96, 0.9)) for name, params in NEWTON_MAPS],
+    ("koebe", None, GridSpec(80, 192, 0.9)),
+    ("h1", None, GridSpec(40, 96, 0.95)),
+])
+def test_newton_sweep_matches_the_reference_bit_for_bit(name, params, grid):
+    f = gallery_get(name, params)
+    stats = assert_sweep_matches_reference(f, eval_map(f, grid.points()))
+    if grid.r_max == 0.95:
+        # The premise of this case: steps are halved on several passes.
+        assert stats["halvings"] == 4
+
+
+def test_newton_sweep_matches_the_reference_on_random_maps_bit_for_bit():
+    # Some of these maps fold, so some targets stall or land on their own
+    # iterate, and leave the sweep early.
+    rng = np.random.default_rng(2022)
+    pts = GridSpec(6, 16, 0.9).points()
+    unconverged = 0
+    for _ in range(200):
+        scale = rng.uniform(0.0, 1.2)
+        a = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / 2.0
+        b = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / 4.0
+        f = HarmonicMap(h=from_series([1.0, *a]), g=from_series(b))
+        unconverged += assert_sweep_matches_reference(f, eval_map(f, pts))["unconverged"]
+    assert unconverged > 0
+
+
+def test_newton_sweep_matches_the_reference_where_iterates_hit_the_clamp_bit_for_bit(monkeypatch):
+    hits = []
+    real_clamped = herglotz._clamped
+
+    def recording(z, clamp):
+        hits.append(int(np.count_nonzero(np.abs(z) > clamp)))
+        return real_clamped(z, clamp)
+
+    monkeypatch.setattr(herglotz, "_clamped", recording)
+    f = gallery_get("koebe")
+    assert_sweep_matches_reference(f, eval_map(f, GridSpec(10, 24, 0.99).points()))
+    assert sum(hits) > 0
+
+
+@pytest.mark.parametrize("name, w, evaluations, reference_evaluations", [
+    # The first step lands on the clamp, and the next lands on itself.
+    ("identity", 5.0, 2, 50),
+    # The first step lands on the clamp, and the next stays worse through
+    # all 20 halvings.
+    ("h0", 3.0, 22, 1 + 49 * 21),
+    # Every step is kept at the same residual, but shrinks the iterate's
+    # imaginary part of about 1e-16, so the target is still iterating when
+    # the sweep ends after 50 steps.
+    ("cayley", -3.0, 50, 50),
+])
+def test_newton_sweep_retires_an_unreachable_target_bit_for_bit(name, w, evaluations,
+                                                                 reference_evaluations):
+    f, count = counting_map(gallery_get(name))
+    wv = np.array([w + 0j])
+    z0, fz, bound, clamp = sweep_inputs(f, wv)
+    stats = {}
+    z_ref, res_ref = reference_sweep(f, wv, z0, bound, clamp, stats)
+    count[0] = 0
+    z, res = herglotz._newton_sweep(f, wv, z0, fz, bound, clamp)
+    assert (count[0], stats["evaluations"]) == (evaluations, reference_evaluations)
+    assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
+    assert np.array_equal(res.view(np.uint64), res_ref.view(np.uint64))
+    assert res[0] > bound[0]
 
 
 def test_inverse_wirtinger_composes_to_one():
