@@ -434,11 +434,14 @@ def test_curve_values_few_segment_pairs(monkeypatch, name, n):
 
 
 @pytest.mark.parametrize("b", [0, 3 - 2j])
-@pytest.mark.parametrize("a", [1e-6, np.exp(0.7j)])
+@pytest.mark.parametrize("a", [1e-6, np.exp(0.7j), 1e-200, 1e200])
 @pytest.mark.parametrize("name", gallery.names())
 def test_pair_scans_follow_an_affine_change_of_the_image(name, a, b):
     # a*f + b has the pairs of f at |a| times the distance, so no bound may
-    # lean on where the image lies or how it is turned.
+    # lean on where the image lies or how it is turned, nor square its
+    # coordinates at 1e-200 or 1e200.  The shift stays within about 4e6
+    # times the image's size, as at a = 1e-6, so that the image resolves.
+    b *= min(1.0, 1e6 * abs(a))
     f = _pair_map(name)
     af = HarmonicMap(h=combination([(a, f.h, 1.0)], b),
                      g=combination([(np.conj(a), f.g, 1.0)]), label=f.label)
@@ -474,11 +477,13 @@ def test_near_pair_min_hands_on_the_least_value_so_far():
 @given(m=st.integers(2, 80), gap=st.integers(1, 2),
        kind=st.sampled_from(["points", "segments", "ratios"]),
        run=st.sampled_from([3, oracle.RUN]), block=st.sampled_from(BLOCKS),
-       data=st.data())
-def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
+       scale=st.sampled_from([2.0 ** -600, 1.0, 2.0 ** 600]), data=st.data())
+def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, scale, data):
     # Integer coordinates in a small range, so duplicate points, touching
     # segments (a bound of 0) and tied pair values are common; m is seldom a
-    # multiple of the run length, so the last run is padded.
+    # multiple of the run length, so the last run is padded.  The kernel
+    # sees them times a power of two whose squares underflow or overflow, and
+    # the values are the exact multiples of those at scale 1.
     coords = st.lists(st.integers(0, 5), min_size=m, max_size=m)
     p = np.array(data.draw(coords)) + 1j * np.array(data.draw(coords))
     lo = hi = p
@@ -488,7 +493,7 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
         lo = np.minimum(p.real, q.real) + 1j * np.minimum(p.imag, q.imag)
         hi = np.maximum(p.real, q.real) + 1j * np.maximum(p.imag, q.imag)
 
-        def value(i, j, at_most=np.inf):
+        def unscaled(i, j):
             return np.minimum.reduce([oracle._point_segment_distance(p[j], p[i], q[i]),
                                       oracle._point_segment_distance(q[j], p[i], q[i]),
                                       oracle._point_segment_distance(p[i], p[j], q[j]),
@@ -498,12 +503,16 @@ def test_near_pair_min_matches_sorted_pairs(m, gap, kind, run, block, data):
                                             unique=True)))
         z = cells % 10 + 1j * (cells // 10)
 
-        def value(i, j, at_most=np.inf):
+        def unscaled(i, j):
             return np.abs(p[j] - p[i]) / np.abs(z[j] - z[i])
     else:
-        def value(i, j, at_most=np.inf):
+        def unscaled(i, j):
             return np.abs(p[j] - p[i])
 
+    def value(i, j, at_most=np.inf):
+        return scale * unscaled(i, j)
+
+    lo, hi = lo * scale, hi * scale
     pair_value = _only_up_to(value) if data.draw(st.booleans()) else value
     order = np.array(data.draw(st.permutations(range(m))))
     with np.errstate(divide="ignore", invalid="ignore"):
