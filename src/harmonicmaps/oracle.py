@@ -20,7 +20,10 @@ found once per scan; the run pairs are bounded a chunk at a time, and only
 those of a chunk that can still be valued are sorted.  It hands that value, with
 its slack, to the pair function as ``at_most``: a pair above it may come
 back as inf, so :func:`curve_simplicity` runs the full segment test only on
-the pairs whose own boxes lie that close.  Its report is that of the scan
+the pairs whose own boxes lie that close.  A batch of run pairs is laid out
+so that the pair ratio subtracts over whole rows of its scratch, and a run
+pair that ties the least value is searched only if it may hold a lower
+pair.  Its report is that of the scan
 over every pair, ties included, at flat memory.  Every batch is valued into scratch that
 :func:`_scratch` allocates once per scan, so a pair function's result holds
 only until its next call, and no batch allocates an array of its own size.
@@ -181,14 +184,20 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
     of a chunk, only the run pairs whose bound is at most the least value so
     far are sorted by bound and valued.  ``pair_value(i, j, at_most)`` gets
     index arrays that broadcast together (the m starting pairs, then shapes
-    (k, RUN, 1) and (k, 1, RUN)) and ``at_most``, the least value so far with
+    (RUN, k, 1) and (1, k, RUN) for k run pairs, so that ``j`` is contiguous
+    over its last two axes) and ``at_most``, the least value so far with
     PRUNE_SLACK.  It must return the exact value of every pair whose value is
     at most ``at_most``; for any other pair it may return anything above
     ``at_most``, such as inf.  It must be symmetric and not NaN in range;
     pairs with ``|i - j| < gap`` are dropped.  The returned array need stay
     valid only until the next call, so a pair function may value every batch
     into one scratch (see :func:`_scratch`).  Ties go to the lowest (i, j), as
-    in the scan over every pair.
+    in the scan over every pair: a run pair that ties the least value so far
+    is searched only if the lowest pair it can hold is below the best (i, j).
+    That pair is the least item of the two runs, partnered with the larger of
+    the runs' least items: a pair's lower item is at least the run pair's
+    least item, and if it is that item, its partner lies in the other run, or
+    above it in the same run.
     """
     m = order.size
     runs = np.concatenate([order, np.repeat(order[-1], -m % RUN)]).reshape(-1, RUN)
@@ -231,7 +240,7 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
             if c:
                 a += c
                 b += c
-            least, start, valued = None, 0, None
+            lowest, start, valued = None, 0, None
             while True:
                 if valued is not best:  # the least value so far fell
                     valued, at_most = best, best[0] * (1.0 + PRUNE_SLACK)
@@ -244,7 +253,7 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
                 # Only a run against itself, one of the first rows, repeats an item.
                 repeats = gap > 1 or start < rows
                 start = stop
-                i, j = runs[ra][:, :, None], runs[rb][:, None, :]
+                i, j = runs[ra].T[:, :, None], runs[rb][None]
                 v = np.asarray(pair_value(i, j, at_most), dtype=float)
                 if repeats:
                     # |i - j| < gap, as i < j + gap and j < i + gap.
@@ -255,16 +264,23 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
                 vmin = float(v.min())
                 if vmin > best[0] or vmin == np.inf:
                     continue
-                if least is None:
-                    # The least item of each run pair: on a tie, only a pair
-                    # holding an item <= the best i can win.
-                    least = first.take(a, out=gaps.view(a.dtype)[size:size + a.size])
-                    np.minimum(least, first[b], out=least)
-                can = least[batch] <= (best[1] if vmin == best[0] else m)
-                if not can.any():
-                    continue
-                won = can & (v.min(axis=(1, 2)) == vmin)
-                best = min(best, _least(v[won], i[won], j[won], m))
+                can = True
+                if vmin == best[0]:
+                    if lowest is None:
+                        # The lowest pair each run pair can hold, as i * m + j,
+                        # in the free halves of the scratch.
+                        low = first.take(a, out=spare.view(a.dtype)[size:size + a.size])
+                        lowest = gaps.view(a.dtype)[size:size + a.size]
+                        np.maximum(low, first[b], out=lowest)
+                        np.minimum(low, first[b], out=low)
+                        lowest += np.multiply(low, m, out=low)
+                    # A tie wins only with a lower pair.
+                    can = lowest[batch] < best[1] * m + best[2]
+                    if not can.any():
+                        continue
+                # Over axis 0 first: whole rows, not strided items.
+                won = can & (v.min(axis=0).min(axis=1) == vmin)
+                best = min(best, _least(v[:, won], i[:, won], j[:, won], m))
             c += rows
     return best
 
@@ -272,13 +288,18 @@ def _run_pair_min(pair_value, order, lo, hi, pts=None, gap=1):
 def _ratio_min(vals, pts, order):
     """Least ``|f(z_j) - f(z_i)| / |z_j - z_i|`` over all pairs, as ``(value, i, j)``."""
     # A point's box is the point itself: a bound per pair would cost as much
-    # as the ratio, so ``at_most`` is not used.
+    # as the ratio, so ``at_most`` is not used.  vals[i] is copied across the
+    # scratch and vals[j] subtracted from it, an inner loop over the k * RUN
+    # contiguous items of a batch's rows, not RUN against a broadcast operand;
+    # vals[i] - vals[j] is exactly -(vals[j] - vals[i]), so np.abs gives the
+    # same bits.
     scratch = _scratch(order.size, complex, float, float)
 
     def ratio(i, j, at_most=np.inf):
         diff, num, den = scratch(i, j)
-        np.abs(np.subtract(vals[j], vals[i], out=diff), out=num)
-        np.abs(np.subtract(pts[j], pts[i], out=diff), out=den)
+        for z, out in ((vals, num), (pts, den)):
+            np.copyto(diff, z[i])
+            np.abs(np.subtract(diff, z[j], out=diff), out=out)
         return np.divide(num, den, out=num)
 
     return _run_pair_min(ratio, order, vals, vals, pts)

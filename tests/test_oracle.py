@@ -473,6 +473,60 @@ def test_near_pair_min_hands_on_the_least_value_so_far():
     assert oracle._run_pair_min(pair_value, np.array([0, 2, 1, 3]), p, p) == (1.0, 0, 1)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_near_pair_min_keeps_a_tie_at_the_best_i(block):
+    # Every pair ties at 1.  The starting pairs of this order give (0, 4) as
+    # the lowest; runs of two are [0, 5], [1, 2], [3, 4].  The tie (0, 1)
+    # lies only in the run pair of the first two runs: its least item is the
+    # best i, 0, and the larger of the runs' least items, 1, is below the
+    # best j, 4.
+    def pair_value(i, j, at_most=np.inf):
+        return np.ones(np.broadcast(i, j).shape)
+
+    p = np.zeros(6, complex)
+    with mock.patch.object(oracle, "PAIR_BLOCK", block), mock.patch.object(oracle, "RUN", 2):
+        assert oracle._run_pair_min(pair_value, np.array([0, 5, 1, 2, 3, 4]), p, p) == (1.0, 0, 1)
+
+
+def test_identity_scan_skips_ties_that_cannot_win(monkeypatch):
+    # Every pair of the identity ties at 1, and the starting pairs already
+    # hold (0, 1).  Valuing the ties of every run pair that holds item 0
+    # would take dozens of calls.
+    least, calls = oracle._least, []
+
+    def counting(*args):
+        calls.append(args)
+        return least(*args)
+
+    monkeypatch.setattr(oracle, "_least", counting)
+    rep = injectivity_scan(gallery_get("identity"), n_points=2000)
+    assert rep.meta["worst_pair"] == [0, 1]
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -600, 2.0 ** 600])
+def test_pair_ratio_batches_bit_for_bit(monkeypatch, scale):
+    # The pair ratio values a batch as vals[i] - vals[j] over whole rows of
+    # its scratch; IEEE rounding is sign-symmetric, so its bits are those of
+    # the textbook ratio.  h1's image lies about 9.9 off the origin.
+    pts = sunflower_points(2000)
+    captured = []
+    monkeypatch.setattr(oracle, "_run_pair_min", lambda ratio, *args: captured.append(ratio))
+    rng = np.random.default_rng(24)
+    for name in ("koebe", "h1"):
+        vals = np.asarray(eval_map(gallery_get(name), pts), dtype=complex) * scale
+        oracle._ratio_min(vals, pts, np.arange(pts.size))
+        ratio = captured.pop()
+        for k in (1, 5, 28):
+            # Even items against odd ones, so no pair repeats an item.
+            i = 2 * rng.integers(0, pts.size // 2, (oracle.RUN, k, 1))
+            j = 2 * rng.integers(0, pts.size // 2, (1, k, oracle.RUN)) + 1
+            want = np.abs(vals[j] - vals[i]) / np.abs(pts[j] - pts[i])
+            got = ratio(i, j, np.inf)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 80), gap=st.integers(1, 2),
        kind=st.sampled_from(["points", "segments", "ratios"]),
