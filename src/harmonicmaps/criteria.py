@@ -143,56 +143,13 @@ def golden_section_max(fn, lo, hi, tol=1e-6):
     return x, fn(x)
 
 
-def largest_argument_gap(values):
-    """Largest circular gap among the arguments of nonzero complex values.
-
-    Returns ``(gap, mid, edge_index)`` where ``gap`` is the angular width of
-    the widest empty arc, ``mid`` its midpoint direction, and ``edge_index``
-    the index (into ``values``) of the sample whose argument opens the gap.
-    All values lie in an open half-plane through 0 iff ``gap > pi``.
-
-    Ties: the wrap gap wins, then the first of equal gaps in angle order; the
-    edge is the highest index among equal arguments.
-
-    A gap wider than pi that contains direction pi is the wrap gap, so it is
-    read off the least and greatest argument without a sort.  The read takes
-    the float operations of the sorted scan, so it returns its bits; it is
-    accepted only beyond pi by ``_GAP_BAND``, where float64 rounding cannot
-    tie it with another gap.  Every other gap, float32 arguments and
-    non-finite input come from the sort.
-
-    NaN: a NaN value has no argument, so a gap read across it is NaN, and
-    ``mid`` with it.  When the sort sets a NaN argument to open the gap, as
-    it does when every value is NaN, the edge is the last NaN sample, the
-    rule for equal arguments.
-    """
-    args = np.angle(values)
-    if args.size == 1:
-        # One argument leaves the whole circle free, unless it is NaN.
-        gap = np.nan if np.isnan(args[0]) else 2.0 * np.pi
-        return gap, float(args[0] + np.pi), 0
-    gap, lo = _widest_gap(args)
-    # ``lo`` closes its run of equal arguments, so the opening sample is the
-    # last index holding that value; NaN equals nothing, so it matches NaN.
-    edge = int(np.flatnonzero(np.isnan(args) if np.isnan(lo) else args == lo)[-1])
-    return float(gap), float(lo + gap / 2.0), edge
-
-
-def _wrap_gap(args):
-    """``(gap, lo)`` of a wrap gap beyond pi by ``_GAP_BAND``, read off the extreme
-    float64 arguments, else None."""
-    if args.dtype == np.float64:
-        greatest = args.max()
-        wrap = args.min() + 2.0 * np.pi - greatest
-        if wrap > np.pi + _GAP_BAND:
-            return wrap, greatest
-    return None
-
-
 def _widest_gap(args):
-    """``(gap, lo)``: the widest gap among two or more arguments and the argument opening it."""
-    if (read := _wrap_gap(args)) is not None:
-        return read
+    """``(gap, lo)``: the widest gap among two or more arguments and the argument opening it.
+
+    Ties: the wrap gap wins, then the first of equal gaps in angle order.  ``lo``
+    closes its run of equal arguments, so the sample opening the gap is the last
+    index holding ``lo``.
+    """
     sorted_args = np.sort(args)
     diffs = np.diff(sorted_args)
     wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
@@ -297,13 +254,16 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     its arguments must exceed pi.  The margin is the worst slack ``(gap - pi)/2``,
     and ``gamma`` the rotation for the worst direction (from the gap midpoint, no search).
 
-    Only a few samples can hold a direction's least or greatest argument: when
-    ``|Psi_zbar| < |Psi_z|``, ``arg W_eps`` stays within ``arcsin(|Psi_zbar|/|Psi_z|)``
-    (plus rounding) of ``arg Psi_z`` for every ``eps`` (:func:`_argument_candidates`).
-    Directions are valued at those samples in blocks, one row each, that fill the
+    Every direction is read one way.  Only a few samples can hold its least or
+    greatest argument: when ``|Psi_zbar| < |Psi_z|``, ``arg W_eps`` stays within
+    ``arcsin(|Psi_zbar|/|Psi_z|)`` (plus rounding) of ``arg Psi_z`` for every ``eps``
+    (:func:`_argument_candidates`); where that thins nothing, every sample is kept.
+    Directions are valued at the kept samples in blocks, one row each, that fill the
     scratch one direction over all samples needs; each reads its wrap gap off its
     row's least and greatest argument, which are those of all samples, with their
-    bits.  A direction whose wrap read fails values every sample and sorts.
+    bits.  A direction whose wrap read fails values every sample and sorts.  The
+    witness is the last sample whose argument, among the worst direction's own
+    arguments at every sample, opens its gap.
     """
     if n_epsilon < 4:
         raise ValueError("need at least 4 unimodular directions")
@@ -322,51 +282,56 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
         return _failure_report("theorem1", grid, "W vanishes", pts[k], VERDICT_VIOLATED,
                                n_epsilon=n_epsilon, epsilon=eps)
     kept = _argument_candidates(psi_z, size_z, size_zb, diff)
-    z_kept, zb_kept = (None, None) if kept is None else (psi_z[kept], psi_zb[kept])
-    del size_z, size_zb, diff, kept
+    # One-row views, so that a one-row block (each where none is dropped) meets no broadcast.
+    rows_z, rows_zb = psi_z[None], psi_zb[None]
+    z_kept, zb_kept = (rows_z, rows_zb) if kept is None else (rows_z[:, kept], rows_zb[:, kept])
+    del size_z, size_zb, diff
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
+    units = np.exp(1j * eps_angles)[:, None]
     w = np.empty_like(psi_z)
     re, im, args = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
+    views = {}  # the scratch's first n items by n: a lookup costs less than slicing
 
-    def angles(n):
+    def arguments(eps, z, zb):
+        """The arguments of W at the sample rows ``z``, ``zb``, one row per direction in ``eps``."""
+        rows = w[:eps.size * z.size].reshape(eps.size, z.size)
+        np.multiply(eps, zb, out=rows)
+        np.add(z, rows, out=rows)
         # np.angle's arctan2 over contiguous copies of W's parts: the same
         # bits in half the time of the strided views.
-        np.copyto(re[:n], w[:n].real)
-        np.copyto(im[:n], w[:n].imag)
-        return np.arctan2(im[:n], re[:n], out=args[:n])
+        n = rows.size
+        if n not in views:
+            views[n] = re[:n], im[:n], w[:n].real, w[:n].imag, args[:n]
+        re_n, im_n, w_re, w_im, args_n = views[n]
+        np.copyto(re_n, w_re)
+        np.copyto(im_n, w_im)
+        return np.arctan2(im_n, re_n, out=args_n).reshape(rows.shape)
 
-    def arguments(ang):
-        """The arguments of W at every sample."""
-        np.multiply(np.exp(1j * ang), psi_zb, out=w)
-        np.add(psi_z, w, out=w)
-        return angles(w.size)
-
-    def kept_arguments(angs):
-        """The arguments of W at the kept samples, one row per direction in ``angs``."""
-        rows = w[:angs.size * z_kept.size].reshape(angs.size, z_kept.size)
-        np.multiply(np.exp(1j * angs)[:, None], zb_kept, out=rows)
-        np.add(z_kept, rows, out=rows)
-        return angles(rows.size).reshape(rows.shape)
-
-    # The kept samples hold every direction's extreme arguments, so a wrap
-    # read over them has the full one's bits.  They fill the scratch in blocks
-    # of directions, and each row is read as _wrap_gap reads; only a direction
-    # whose read fails values all samples and sorts.
-    reads = [None] * n_epsilon
-    if z_kept is not None:
-        per_block = w.size // z_kept.size
-        for lo in range(0, n_epsilon, per_block):
-            block = kept_arguments(eps_angles[lo:lo + per_block])
-            greatest = block.max(axis=1)
-            wrap = block.min(axis=1) + 2.0 * np.pi - greatest
-            for i in np.flatnonzero(wrap > np.pi + _GAP_BAND):
-                reads[lo + i] = (wrap[i], greatest[i])
-    gaps = [read or _widest_gap(arguments(ang)) for ang, read in zip(eps_angles, reads)]
-    del z_kept, zb_kept  # so the worst direction's read below peaks no higher
+    # Each row's wrap gap is read off its least and greatest argument, which
+    # opens it; beyond pi by _GAP_BAND it is the widest gap, with the sorted
+    # scan's bits (as Python floats, which round alike and cost less).  A
+    # direction whose read fails values every sample, which overwrites the
+    # block, so every row's extremes are taken first; where nothing was
+    # dropped the block is that direction at every sample.
+    gaps = []
+    per_block = w.size // z_kept.size
+    for start in range(0, n_epsilon, per_block):
+        eps = units[start:start + per_block]
+        block = arguments(eps, z_kept, zb_kept)
+        least, greatest = block.min(axis=1).tolist(), block.max(axis=1).tolist()
+        for i, top in enumerate(greatest):
+            wrap = least[i] + 2.0 * np.pi - top
+            if wrap > np.pi + _GAP_BAND:
+                gaps.append((wrap, top))
+            else:
+                full = block[0] if kept is None else arguments(eps[i:i + 1], rows_z, rows_zb)[0]
+                gaps.append(_widest_gap(full))
+    del z_kept, zb_kept, kept  # so the worst direction's read below peaks no higher
     margins = [(gap - np.pi) / 2.0 for gap, _ in gaps]
     j = int(np.argmin(margins))
-    arguments(eps_angles[j])  # refills w with the worst direction's W
-    _, mid, edge = largest_argument_gap(w)
+    gap, lo = gaps[j]
+    edge = int(np.flatnonzero(arguments(units[j:j + 1], rows_z, rows_zb)[0] == lo)[-1])
+    mid = float(lo + gap / 2.0)
     return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
                        witness=complex(pts[edge]), gamma=_wrap_angle(-(mid + np.pi)),
                        grid=grid, meta={"n_epsilon": n_epsilon,

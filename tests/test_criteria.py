@@ -30,9 +30,10 @@ from harmonicmaps import criteria, gallery
 from harmonicmaps.criteria import (
     DEFAULT_N_EPSILON,
     DEFAULT_N_GAMMA,
+    _GAP_BAND,
+    _widest_gap,
     _wrap_angle,
     golden_section_max,
-    largest_argument_gap,
 )
 from harmonicmaps.mappings import AnalyticFunction, combination, composed_wirtinger
 
@@ -55,29 +56,27 @@ def pole_function(pole):
 # helper machinery
 
 
-def test_largest_gap_single_value():
-    gap, mid, edge = largest_argument_gap(np.array([1.0j]))
-    assert (gap, mid, edge) == (2.0 * np.pi, np.pi / 2.0 + np.pi, 0)
-    assert type(gap) is float and type(mid) is float
+def widest_gap(values):
+    """``(gap, mid, edge)`` as check_theorem1 reads a sorted direction: the gap and
+    its opening argument ``lo`` from ``_widest_gap``, and the last index holding ``lo``."""
+    args = np.angle(values)
+    gap, lo = _widest_gap(args)
+    return float(gap), float(lo + gap / 2.0), int(np.flatnonzero(args == lo)[-1])
 
 
-def test_largest_gap_quarter_plane():
-    gap, _, _ = largest_argument_gap(np.array([1.0 + 0.0j, 1.0j]))
-    assert_allclose(gap, 1.5 * np.pi, rtol=0, atol=1e-12)
-
-
-def test_largest_gap_antipodal_is_pi():
-    gap, _, _ = largest_argument_gap(np.array([1.0 + 0.0j, -1.0 + 0.0j]))
-    assert_allclose(gap, np.pi, rtol=0, atol=1e-12)
+def wrap_reads(rows):
+    """``(wrap, greatest)`` per row of arguments, as check_theorem1 reads them: the
+    gap across the cut at pi, off the row's least and greatest argument, which opens it."""
+    least, greatest = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    return [lo + 2.0 * np.pi - top for lo, top in zip(least, greatest)], greatest
 
 
 def stable_sort_gap(values):
-    """Reference: the largest argument gap read off a stable argsort."""
+    """Reference: the largest argument gap among two or more values, read off a
+    stable argsort."""
     args = np.angle(values)
     order = np.argsort(args, kind="stable")
     sorted_args = args[order]
-    if sorted_args.size == 1:
-        return 2.0 * np.pi, sorted_args[0] + np.pi, int(order[0])
     diffs = np.diff(sorted_args)
     wrap = sorted_args[0] + 2.0 * np.pi - sorted_args[-1]
     k = int(np.argmax(diffs))
@@ -86,6 +85,18 @@ def stable_sort_gap(values):
     else:
         gap, lo, edge = diffs[k], sorted_args[k], int(order[k])
     return float(gap), float(lo + gap / 2.0), edge
+
+
+def test_largest_gap_quarter_plane():
+    w = np.array([1.0 + 0.0j, 1.0j])
+    assert widest_gap(w) == stable_sort_gap(w)
+    assert_allclose(widest_gap(w)[0], 1.5 * np.pi, rtol=0, atol=1e-12)
+
+
+def test_largest_gap_antipodal_is_pi():
+    w = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+    assert widest_gap(w) == stable_sort_gap(w)
+    assert_allclose(widest_gap(w)[0], np.pi, rtol=0, atol=1e-12)
 
 
 # Values whose arguments tie on purpose: +0.0 and -0.0 imaginary parts
@@ -106,14 +117,14 @@ def test_tie_values_force_a_wrap_tie():
 @given(st.lists(st.one_of(st.sampled_from(TIE_VALUES),
                           st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
                                              allow_nan=False, allow_infinity=False)),
-                min_size=1, max_size=40))
+                min_size=2, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_largest_gap_matches_stable_sort(values):
     w = np.array(values, dtype=complex)
-    assert largest_argument_gap(w) == stable_sort_gap(w)
+    assert widest_gap(w) == stable_sort_gap(w)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 1000])
 def test_largest_gap_matches_stable_sort_with_forced_ties(n):
     rng = np.random.default_rng(20150 + n)
     pool = np.array(TIE_VALUES)
@@ -122,7 +133,28 @@ def test_largest_gap_matches_stable_sort_with_forced_ties(n):
                      np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
         # Repeat a few entries so equal arguments sit at scattered indices.
         w[rng.integers(0, n, n // 3)] = w[rng.integers(0, n)]
-        assert largest_argument_gap(w) == stable_sort_gap(w)
+        assert widest_gap(w) == stable_sort_gap(w)
+
+
+# _widest_gap's tie rule on exact arguments: (arguments, gap, lo, the index
+# opening the gap).
+@pytest.mark.parametrize("args, gap, lo, edge", [
+    # Every gap is pi/2, the wrap gap included: the wrap gap wins, opened at pi.
+    pytest.param(np.angle(np.array([1.0, 1j, complex(-1.0, 0.0), -1j])), np.pi / 2.0, np.pi, 2,
+                 id="the wrap gap wins a tie"),
+    # Three inner gaps of exactly 2 beat the wrap gap 2pi - 6: the first in
+    # angle order wins.
+    pytest.param(np.array([1.0, -3.0, 3.0, -1.0]), 2.0, -3.0, 1,
+                 id="the first of equal inner gaps wins"),
+    # -3 is held twice, closing a gap of 0 and opening one of 2.
+    pytest.param(np.array([-3.0, 3.0, -1.0, -3.0, 1.0]), 2.0, -3.0, 3,
+                 id="the last sample holding lo opens the gap"),
+])
+def test_widest_gap_tie_rule(args, gap, lo, edge):
+    assert _widest_gap(args) == (gap, lo)
+    # In a stable sort the last index holding lo closes lo's run.
+    run_end = np.searchsorted(np.sort(args), lo, side="right") - 1
+    assert np.flatnonzero(args == lo)[-1] == np.argsort(args, kind="stable")[run_end] == edge
 
 
 def cone(n, center, width, rng):
@@ -151,50 +183,23 @@ FAST_PATH_CASES = [
     ("all pi", lambda n, rng: np.full(n, complex(-1.0, 0.0)), True),
     ("all -pi", lambda n, rng: np.full(n, complex(-1.0, -0.0)), True),
     ("pi and -pi", lambda n, rng: rng.choice([complex(-1.0, 0.0), complex(-1.0, -0.0)], n), False),
-    # float32 arguments round too coarsely for the band, so they sort.
-    ("complex64 cone around 0", lambda n, rng: cone(n, 0.0, 2.0, rng).astype(np.complex64), False),
-    ("complex64 cone around pi",
-     lambda n, rng: cone(n, np.pi, 2.0, rng).astype(np.complex64), False),
 ]
 
 
 @pytest.mark.parametrize("n", [3841, 61441])
 @pytest.mark.parametrize("values, fast", [pytest.param(values, fast, id=label)
                                           for label, values, fast in FAST_PATH_CASES])
-def test_largest_gap_extremes_match_stable_sort(monkeypatch, n, values, fast):
+def test_largest_gap_extremes_match_stable_sort(n, values, fast):
     w = values(n, np.random.default_rng(n))
-    sorted_sizes, real_sort = [], np.sort
-
-    def counting_sort(a, *args, **kwargs):
-        sorted_sizes.append(np.size(a))
-        return real_sort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "sort", counting_sort)
-    assert largest_argument_gap(w) == stable_sort_gap(w)
-    # The sort of every argument runs exactly when the wrap read does not answer.
-    assert (n in sorted_sizes) is not fast
-
-
-def test_largest_gap_leaves_nan_to_the_sort():
-    # Without the NaN the wrap read would answer; with it the extremes are NaN.
-    w = cone(3841, 0.0, 2.0, np.random.default_rng(0))
-    w[1] = complex(np.nan, 0.0)
-    gap, _, edge = largest_argument_gap(w)
     ref_gap, _, ref_edge = stable_sort_gap(w)
-    assert np.isnan(gap) and np.isnan(ref_gap) and edge == ref_edge
-
-
-# A NaN opening the gap selects the last NaN, like the tie rule for equal
-# arguments; a gap read across a NaN is NaN.
-@pytest.mark.parametrize("values, edge", [
-    ([complex(np.nan, np.nan)], 0),
-    ([complex(np.nan, np.nan)] * 2, 1),
-    ([complex(np.nan, np.nan)] * 5, 4),
-    ([1.0 + 1.0j, np.nan, 1.0j], 2),
-])
-def test_largest_gap_with_nan_is_nan(values, edge):
-    gap, mid, got = largest_argument_gap(np.array(values))
-    assert np.isnan(gap) and np.isnan(mid) and got == edge
+    # check_theorem1's wrap read of a one-row block answers exactly in the fast
+    # cases, with the sorted scan's gap and opening argument; the sort answers
+    # everywhere.
+    wrap, greatest = wrap_reads(np.angle(w)[None, :])
+    assert bool(wrap[0] > np.pi + _GAP_BAND) is fast
+    if fast:
+        assert (wrap[0], greatest[0]) == (ref_gap, np.angle(w[ref_edge]))
+    assert widest_gap(w) == stable_sort_gap(w)
 
 
 def test_contiguous_arctan2_matches_angle_bit_for_bit():
@@ -225,8 +230,8 @@ def block_arguments(psi_z, psi_zb, angles):
     """The arguments of W for each direction in ``angles``, one row each, by
     check_theorem1's kernels for a block of directions."""
     rows = np.empty((angles.size, psi_z.size), dtype=complex)
-    np.multiply(np.exp(1j * angles)[:, None], psi_zb, out=rows)
-    np.add(psi_z, rows, out=rows)
+    np.multiply(np.exp(1j * angles)[:, None], psi_zb[None], out=rows)
+    np.add(psi_z[None], rows, out=rows)
     return np.arctan2(np.ascontiguousarray(rows.imag), np.ascontiguousarray(rows.real))
 
 
@@ -263,6 +268,13 @@ def test_gathered_arctan2_matches_the_full_array_bit_for_bit():
                 block = block_arguments(z, zb, angles[lo:lo + size])
                 for row, ang_args in zip(block, single[lo:lo + size]):
                     assert np.array_equal(row.view(np.uint64), ang_args.view(np.uint64))
+    # Where no sample is dropped, check_theorem1 values a direction as a block
+    # of one row over every sample, in place of the one direction's product.
+    for values in (broad, normal):
+        for ang in angles:
+            row = block_arguments(values, psi_zb, np.array([ang]))[0]
+            scalar = directional_arguments(values, psi_zb, ang)
+            assert np.array_equal(row.view(np.uint64), scalar.view(np.uint64))
 
 
 def test_golden_section_finds_cosine_peak():
@@ -476,6 +488,56 @@ def test_theorem1_values_few_samples_per_direction():
     # kept; where the arguments spread beyond pi every direction sorts anyway.
     assert kept_samples(koebe, linear_wirtinger(0.3, 1.0), GRID_09) is None
     assert kept_samples(koebe, linear_wirtinger(2.0, -1.0), GRID_09) is None
+
+
+@pytest.mark.parametrize("name, phi_spec, failed_reads", [
+    ("koebe", (2.0, -1.0), DEFAULT_N_EPSILON),
+    ("f_k", (2.0, -1.0), 0),
+    ("koebe", "inverse", 0),
+    # Nothing dropped: every direction is a one-row block over every sample,
+    # whose wrap read answers, or whose row is sorted as it is.
+    ("identity", (1.0, 0.0), 0),
+    ("identity", "inverse", 0),
+    ("crossing", (1.0, 0.0), DEFAULT_N_EPSILON),
+    # |Psi_zbar| > |Psi_z| at every sample, so nothing can be dropped.
+    ("koebe", (0.3, 1.0), DEFAULT_N_EPSILON),
+    # Samples dropped: most of h0's; h1's all but 2; h_r's all but 440 of
+    # 3841, so 8 directions share a block and each of them sorts; some of
+    # h0's directions with (2i, -1) sort and the rest answer.
+    ("h0", (2.0, -1.0), 0),
+    ("h1", "inverse", 0),
+    ("h_r", (-2.0, 0.5), DEFAULT_N_EPSILON),
+    ("h0", (2.0j, -1.0), 10),
+])
+def test_theorem1_sorts_only_directions_whose_wrap_read_fails(monkeypatch, name, phi_spec,
+                                                               failed_reads):
+    # Guards the work: every sample is sorted once per direction whose wrap
+    # read fails, and never passed to np.angle; W is valued at every sample
+    # once per direction where nothing is dropped, else once per sorted
+    # direction, and once more for the witness.
+    f = crossing_map() if name == "crossing" else gallery_get(name, GALLERY_PARAMS.get(name))
+    phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
+    psi_z, psi_zb = composed_wirtinger(f, phi, GRID_09.points())
+    angles = 2.0 * np.pi * np.arange(DEFAULT_N_EPSILON) / DEFAULT_N_EPSILON
+    wrap, _ = wrap_reads(block_arguments(psi_z, psi_zb, angles))
+    assert sum(gap <= np.pi + _GAP_BAND for gap in wrap) == failed_reads
+    valued = DEFAULT_N_EPSILON if kept_samples(f, phi, GRID_09) is None else failed_reads
+    calls = []
+
+    def counted(label, fn):
+        def call(a, *args, **kwargs):
+            # W is valued into the ``out`` it is given.
+            if np.size(kwargs.get("out", a)) == psi_z.size:
+                calls.append(label)
+            return fn(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "sort", counted("sort", np.sort))
+    monkeypatch.setattr(np, "angle", counted("angle", np.angle))
+    monkeypatch.setattr(np, "multiply", counted("value", np.multiply))
+    assert check_theorem1(f, phi, GRID_09).meta.get("failure") is None
+    assert (calls.count("sort"), calls.count("angle"), calls.count("value")) == \
+        (failed_reads, 0, valued + 1)
 
 
 def test_theorem1_requires_four_directions():
