@@ -17,6 +17,18 @@ The checks
 * :func:`check_theoremB` -- the same with both derivatives divided by the
   derivative of a convex univalent comparison function G.
 * :func:`check_philike` -- ``Re(z f'(z) / Phi(f(z))) > 0`` for analytic f.
+
+Every scan walks its grid in blocks of ``GRID_BLOCK`` samples
+(:func:`_grid_blocks`), so no map call sees more than one block and the full
+grid is never built.  corollary1, philike and the Jacobian scan keep only a
+running worst sample, so their memory stays flat as the resolution grows;
+theorem1 keeps the two partials it reads in every direction (32 bytes per
+sample), and the rotation search h' and ``|g'|``.  The block is a multiple of
+Newton's seed-ranking block (``herglotz._SEED_BLOCK``): a one-row matrix
+product can round otherwise than the same row inside a larger one, and blocks
+that start on multiples of it put every target of an inversion with
+``phi = f^{-1}`` in the same product as one inversion over the whole grid.
+Every report, failures included, is the same at any block size.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InversionError
 from .mappings import (
     AnalyticFunction,
     GridSpec,
@@ -49,6 +61,11 @@ DEFAULT_N_GAMMA = 32
 # above the few-ulp rounding of a float64 gap near pi, far below any margin
 # reported.
 _GAP_BAND = 1e-9
+# Samples per block of a grid scan: a multiple of herglotz._SEED_BLOCK, so
+# that Newton ranks each target's seeds in the same matrix product as over
+# the whole grid, and small enough that a block's complex arrays (64 KiB)
+# are reused from the heap instead of being mapped afresh.
+GRID_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -92,31 +109,137 @@ def _failure_report(criterion, grid, failure, witness=None,
                        meta={"failure": failure, **meta})
 
 
-def _nonfinite_report(criterion, values, pts, grid):
-    """Inconclusive report at the first sample whose value is not finite, or None."""
-    bad = ~np.isfinite(values)
-    if not np.any(bad):
-        return None
-    return _failure_report(criterion, grid, "non-finite evaluation", pts[int(np.argmax(bad))])
+def _grid_blocks(grid, evaluate, first=0):
+    """The walk of every scan: ``(start, points, evaluate(points))`` for each block of
+    GRID_BLOCK samples of ``grid`` from sample ``first`` on, in grid order, the origin
+    first and then radii-major.
+
+    It raises what one evaluation over the whole grid would: any error but a failed
+    inversion as it comes, and else, once every block is valued, the failed inversion
+    whose target misses its bound by the largest factor, the first on ties.  Blocks
+    valued after a failed one are not handed on.
+    """
+    failed = None
+    for lo in range(0, grid.size, GRID_BLOCK):
+        start = max(lo, first)
+        pts = grid.samples(start, min(lo + GRID_BLOCK, grid.size))
+        try:
+            value = evaluate(pts)
+        except InversionError as exc:
+            if failed is None or (exc.best_residual / exc.bound
+                                  > failed.best_residual / failed.bound):
+                failed = exc
+            continue
+        if failed is None:
+            yield start, pts, value
+    if failed is not None:
+        raise failed
 
 
-def _domain_report(criterion, maps, pts, grid):
+def _check_grid_domain(maps, grid):
+    """Raise the DomainError ``_check_domain`` would raise over the whole grid, where
+    ``|z|`` peaks on the outer ring."""
+    ring = grid.samples(grid.size - grid.n_angular, grid.size)
+    for fn in maps:
+        _check_domain(fn, ring)
+
+
+def _domain_report(criterion, maps, grid):
     """Inconclusive report if a sample lies outside the domain of one of ``maps``, or None."""
     try:
-        for fn in maps:
-            _check_domain(fn, pts)
+        _check_grid_domain(maps, grid)
     except DomainError as exc:
         return _failure_report(criterion, grid, str(exc))
     return None
 
 
-def _worst_sample(criterion, values, pts, grid):
-    """Report the least sampled value (holds iff positive); inconclusive if one is not finite."""
-    if (fail := _nonfinite_report(criterion, values, pts, grid)) is not None:
-        return fail
-    k = int(np.argmin(values))
-    return CheckReport(criterion, _verdict_from_margin(float(values[k])),
-                       float(values[k]), witness=complex(pts[k]), grid=grid)
+def _first_nonfinite(values):
+    """Index of the first value that is not finite, or None."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _nonfinite_report(criterion, values, pts, grid):
+    """Inconclusive report at the first sample whose value is not finite, or None."""
+    k = _first_nonfinite(values)
+    return None if k is None else _failure_report(criterion, grid, "non-finite evaluation", pts[k])
+
+
+def _nonfinite_at(criterion, grid, k):
+    """Inconclusive report at grid sample ``k``, whose value is not finite."""
+    return _failure_report(criterion, grid, "non-finite evaluation", grid.point(k))
+
+
+class _WorstSample:
+    """A scan's least value and its sample, as ``np.argmin`` picks it over the whole
+    grid (the first on ties), and its first sample whose value is not finite.
+
+    Samples are keyed by grid index, so blocks may come in any order.
+    """
+
+    def __init__(self):
+        self.least, self.bad = (np.inf, 0), None
+
+    def add(self, start, values):
+        """Take in the values of samples ``start, start + 1, ...``."""
+        if (k := _first_nonfinite(values)) is not None:
+            self.bad = start + k if self.bad is None else min(self.bad, start + k)
+        elif self.bad is None:
+            k = int(np.argmin(values))
+            self.least = min(self.least, (float(values[k]), start + k))
+
+    def report(self, criterion, grid):
+        """The least value (holds iff positive); inconclusive if a value is not finite."""
+        if self.bad is not None:
+            return _nonfinite_at(criterion, grid, self.bad)
+        value, k = self.least
+        return CheckReport(criterion, _verdict_from_margin(value), value,
+                           witness=grid.point(k), grid=grid)
+
+
+def _worst_sample(criterion, grid, maps, value):
+    """Report the least of ``value(points)`` over the grid (holds iff positive).
+
+    A sample outside the domain of one of ``maps`` raises DomainError first.
+    """
+    _check_grid_domain(maps, grid)
+    worst = _WorstSample()
+    for start, _, values in _grid_blocks(grid, value):
+        worst.add(start, values)
+    return worst.report(criterion, grid)
+
+
+class _LeastModulus:
+    """``_vanishes(v, v)`` over a scan's blocks, which come in grid order: the first
+    least ``|v|`` (a NaN first, as with ``np.argmin``) and the largest finite one."""
+
+    def __init__(self):
+        self.size, self.index, self.scale = np.inf, None, 0.0
+
+    def add(self, start, values):
+        size = np.abs(values)
+        k = int(size.argmin())
+        if self.size == self.size and not size[k] >= self.size:
+            self.size, self.index = size[k], start + k
+        self.scale = max(self.scale, size.max(where=size < np.inf, initial=0.0))
+
+    def vanishes(self):
+        """The grid index where v vanishes so far, or None."""
+        return None if _vanishes(self.size, self.scale) is None else self.index
+
+
+def _quietly(quiet, compute):
+    """``compute()``, with NumPy's floating-point warnings off when ``quiet``.
+
+    A scan divides by a value that may vanish only where it does not vanish on
+    the samples so far, as one pass over the whole grid divides only where it
+    does not vanish at all; it still divides there, quietly, since a NaN in a
+    later block can clear the vanishing after all.
+    """
+    if not quiet:
+        return compute()
+    with np.errstate(all="ignore"):
+        return compute()
 
 
 def golden_section_max(fn, lo, hi, tol=1e-6):
@@ -216,14 +339,27 @@ def _argument_candidates(psi_z, size_z, size_zb, diff):
     return None if kept.size == keep.size else kept
 
 
-def _composed_partials(f, phi, pts, criterion, grid):
-    """Evaluate (Psi_z, Psi_zbar) on the grid, or an inconclusive report."""
+def _composed_partials(criterion, f, phi, grid, take):
+    """Hand ``take`` each block's ``(start, Psi_z, Psi_zbar)``; a failed scan's report, or None.
+
+    The scan fails as one evaluation over the whole grid would: a sample outside
+    f's domain first, then an evaluation error (see :func:`_grid_blocks`), and
+    last the first sample with a non-finite partial.  No block is taken after that
+    sample, though every block is valued.
+    """
+    bad = None
     try:
-        psi_z, psi_zb = composed_wirtinger(f, phi, pts)
+        _check_grid_domain((f,), grid)
+        partials = _grid_blocks(grid, lambda pts: composed_wirtinger(f, phi, pts))
+        for start, _, (psi_z, psi_zb) in partials:
+            if bad is None:
+                if (k := _first_nonfinite(psi_z + psi_zb)) is None:
+                    take(start, psi_z, psi_zb)
+                else:
+                    bad = start + k
     except Exception as exc:  # evaluation failure anywhere -> inconclusive
-        return None, _failure_report(criterion, grid, str(exc))
-    fail = _nonfinite_report(criterion, psi_z + psi_zb, pts, grid)
-    return ((psi_z, psi_zb) if fail is None else None), fail
+        return _failure_report(criterion, grid, str(exc))
+    return None if bad is None else _nonfinite_at(criterion, grid, bad)
 
 
 def check_corollary1(f: HarmonicMap, phi: WirtingerFunction,
@@ -231,14 +367,13 @@ def check_corollary1(f: HarmonicMap, phi: WirtingerFunction,
     """Scan ``Re Psi_z - |Psi_zbar|`` for ``Psi = phi(f, conj f)`` over the grid.
 
     A positive margin certifies, on the samples, the sufficient condition for
-    injectivity of ``f`` through the comparison function ``phi``.
+    injectivity of ``f`` through the comparison function ``phi``.  The grid is
+    valued block by block, keeping only the worst sample.
     """
-    pts = grid.points()
-    partials, fail = _composed_partials(f, phi, pts, "corollary1", grid)
-    if fail is not None:
-        return fail
-    psi_z, psi_zb = partials
-    return _worst_sample("corollary1", np.real(psi_z) - np.abs(psi_zb), pts, grid)
+    worst = _WorstSample()
+    fail = _composed_partials("corollary1", f, phi, grid,
+                              lambda start, z, zb: worst.add(start, np.real(z) - np.abs(zb)))
+    return worst.report("corollary1", grid) if fail is None else fail
 
 
 def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
@@ -267,29 +402,33 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     """
     if n_epsilon < 4:
         raise ValueError("need at least 4 unimodular directions")
-    pts = grid.points()
-    partials, fail = _composed_partials(f, phi, pts, "theorem1", grid)
-    if fail is not None:
+    blocks = []
+    if (fail := _composed_partials("theorem1", f, phi, grid,
+                                   lambda start, z, zb: blocks.append((z, zb)))) is not None:
         return fail
-    psi_z, psi_zb = partials
+    # The partials over the whole grid; a grid of one block needs no copy.
+    psi_z, psi_zb = (np.concatenate(p) if len(p) > 1 else p[0] for p in zip(*blocks))
+    del blocks
+    # The directions' scratch; until they are valued it holds the sizes below.
+    w = np.empty_like(psi_z)
+    re, im, args = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
     # |W_eps| >= ||Psi_z| - |Psi_zbar||, with equality at one eps, and
     # |W_eps| <= |Psi_z| + |Psi_zbar|, the scale "vanishes" is judged against.
-    size_z, size_zb = np.abs(psi_z), np.abs(psi_zb)
-    diff = size_z - size_zb
-    if _vanishes(diff, size_z + size_zb) is not None or (diff.max() > 0.0 > diff.min()):
+    size_z, size_zb = np.abs(psi_z, out=re), np.abs(psi_zb, out=im)
+    diff = np.subtract(size_z, size_zb, out=args)
+    scale = np.add(size_z, size_zb, out=w.view(float)[:w.size])
+    if _vanishes(diff, scale) is not None or (diff.max() > 0.0 > diff.min()):
         k = int(np.abs(diff).argmin())
         eps = float(np.angle(-psi_z[k] * np.conj(psi_zb[k])) % (2.0 * np.pi))
-        return _failure_report("theorem1", grid, "W vanishes", pts[k], VERDICT_VIOLATED,
+        return _failure_report("theorem1", grid, "W vanishes", grid.point(k), VERDICT_VIOLATED,
                                n_epsilon=n_epsilon, epsilon=eps)
     kept = _argument_candidates(psi_z, size_z, size_zb, diff)
     # One-row views, so that a one-row block (each where none is dropped) meets no broadcast.
     rows_z, rows_zb = psi_z[None], psi_zb[None]
     z_kept, zb_kept = (rows_z, rows_zb) if kept is None else (rows_z[:, kept], rows_zb[:, kept])
-    del size_z, size_zb, diff
+    del size_z, size_zb, diff, scale
     eps_angles = 2.0 * np.pi * np.arange(n_epsilon) / n_epsilon
     units = np.exp(1j * eps_angles)[:, None]
-    w = np.empty_like(psi_z)
-    re, im, args = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
     views = {}  # the scratch's first n items by n: a lookup costs less than slicing
 
     def arguments(eps, z, zb):
@@ -333,7 +472,7 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     edge = int(np.flatnonzero(arguments(units[j:j + 1], rows_z, rows_zb)[0] == lo)[-1])
     mid = float(lo + gap / 2.0)
     return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
-                       witness=complex(pts[edge]), gamma=_wrap_angle(-(mid + np.pi)),
+                       witness=grid.point(edge), gamma=_wrap_angle(-(mid + np.pi)),
                        grid=grid, meta={"n_epsilon": n_epsilon,
                                         "worst_epsilon": float(eps_angles[j])})
 
@@ -357,22 +496,37 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     |h'|``.  A sample with ``s0 - reach > min(s0 + reach)`` therefore never
     holds the minimum there (``reach`` also covers rounding), and the polish
     and the witness value only the others.
+
+    h' and ``|g'|`` are filled in one block of the grid at a time, G' is
+    tested for vanishing as the blocks come, and the passes after the coarse
+    scan work in its scratch.
     """
     if n_gamma < 8:
         raise ValueError("need at least 8 rotation candidates")
-    pts = grid.points()
-    if (fail := _domain_report(criterion, (f,) if G is None else (f, G), pts, grid)) is not None:
+    if (fail := _domain_report(criterion, (f,) if G is None else (f, G), grid)) is not None:
         return fail
-    hp, gp = f.h.deriv(pts), f.g.deriv(pts)
-    if G is not None:
-        Gp = G.deriv(pts)
-        if (kz := _vanishes(Gp, Gp)) is not None:
-            return _failure_report(criterion, grid, "G' vanishes at a sample", pts[kz], **meta)
-        hp, gp = hp / Gp, gp / Gp
-    gp_abs = np.abs(gp)
-    if (fail := _nonfinite_report(criterion, hp + gp_abs, pts, grid)) is not None:
-        return fail
-    rotated, slack = np.empty_like(hp), np.empty(hp.shape)
+    n = grid.size
+    hp, gp_abs = np.empty(n, dtype=complex), np.empty(n)
+    least = _LeastModulus()
+    bad = None
+
+    def derivatives(pts):
+        return f.h.deriv(pts), f.g.deriv(pts), None if G is None else G.deriv(pts)
+
+    for start, pts, (h_b, g_b, Gp) in _grid_blocks(grid, derivatives):
+        stop = start + pts.size
+        if Gp is not None:
+            least.add(start, Gp)
+            h_b, g_b = _quietly(least.vanishes() is not None, lambda: (h_b / Gp, g_b / Gp))
+        hp[start:stop] = h_b
+        g_b = np.abs(g_b, out=gp_abs[start:stop])
+        if bad is None and (k := _first_nonfinite(h_b + g_b)) is not None:
+            bad = start + k
+    if (kz := least.vanishes()) is not None:
+        return _failure_report(criterion, grid, "G' vanishes at a sample", grid.point(kz), **meta)
+    if bad is not None:
+        return _nonfinite_at(criterion, grid, bad)
+    rotated, slack = np.empty_like(hp), np.empty(n)
 
     def slack_at(gamma, hp, gp_abs):
         """``Re(e^{i gamma} h') - |g'|`` per sample, written into scratch."""
@@ -381,7 +535,7 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
         return np.subtract(rotated[:n].real, gp_abs, out=slack[:n])
 
     candidates = 2.0 * np.pi * np.arange(n_gamma) / n_gamma
-    ring = hp.size - grid.n_angular  # the outer circle's samples come last
+    ring = n - grid.n_angular  # the outer circle's samples come last
     bounds = [float(np.min(slack_at(g, hp[ring:], gp_abs[ring:]))) for g in candidates]
     k, best = 0, -np.inf
     for i in sorted(range(n_gamma), key=bounds.__getitem__, reverse=True):
@@ -391,15 +545,18 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
         if value > best or (value == best and i < k):
             k, best = i, value
     half = 2.0 * np.pi / n_gamma
+    s0 = slack_at(candidates[k], hp, gp_abs)
+    # reach and s0 -+ reach go in the complex scratch, free until the polish.
+    reach, spread = rotated.view(float)[:n], rotated.view(float)[n:]
+    np.abs(hp, out=reach)
     # Rounding moves a slack by a few ulps of |h'| + |g'|; 1e-12 of the
     # largest of each covers it.
-    reach = np.abs(hp)
     slop = 1e-12 * (reach.max() + gp_abs.max())
     reach *= half
     reach += slop
-    s0 = slack_at(candidates[k], hp, gp_abs)
-    kept = np.flatnonzero(s0 - reach <= np.min(s0 + reach))
-    if kept.size < hp.size:  # where every sample ties, as on the identity, all are kept
+    top = np.min(np.add(s0, reach, out=spread))
+    kept = np.flatnonzero(np.subtract(s0, reach, out=spread) <= top)
+    if kept.size < n:  # where every sample ties, as on the identity, all are kept
         hp, gp_abs = hp[kept], gp_abs[kept]
     gamma, margin = golden_section_max(lambda g: float(np.min(slack_at(g, hp, gp_abs))),
                                        candidates[k] - half, candidates[k] + half)
@@ -409,7 +566,7 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     gamma = _wrap_angle(gamma)
     witness = kept[int(np.argmin(slack_at(gamma, hp, gp_abs)))]
     return CheckReport(criterion, _verdict_from_margin(margin), margin,
-                       witness=complex(pts[witness]), gamma=gamma, grid=grid,
+                       witness=grid.point(witness), gamma=gamma, grid=grid,
                        meta={"n_gamma": n_gamma, **meta})
 
 
@@ -460,21 +617,25 @@ def check_philike(f: AnalyticFunction, Phi: AnalyticFunction,
     and the scan is inconclusive at the origin.  A non-finite ratio makes
     the scan inconclusive.
     """
-    pts = grid.points()
-    if (fail := _domain_report("philike", (f,), pts, grid)) is not None:
+    if (fail := _domain_report("philike", (f,), grid)) is not None:
         return fail
-    z = pts[1:]  # grid puts the origin first
-    denom = Phi.eval(f.eval(z))
-    if (kz := _vanishes(denom, denom)) is not None:
-        return _failure_report("philike", grid, "Phi(f(z)) vanishes", z[kz], VERDICT_VIOLATED)
+    least, worst = _LeastModulus(), _WorstSample()
+    # The grid puts the origin first; it is valued apart, below.
+    for start, z, denom in _grid_blocks(grid, lambda z: Phi.eval(f.eval(z)), first=1):
+        least.add(start, denom)
+        ratio = _quietly(least.vanishes() is not None, lambda: np.real(z * f.deriv(z) / denom))
+        worst.add(start, ratio)
+    if (kz := least.vanishes()) is not None:
+        return _failure_report("philike", grid, "Phi(f(z)) vanishes", grid.point(kz),
+                               VERDICT_VIOLATED)
     # z f'(z)/Phi(f(z)) tends to 1/Phi'(f(0)) when f'(0) != 0 = Phi(f(0)); a
     # map with f'(0) = 0 is not univalent and, like Phi(f(0)) != 0, gets 0.
     f0 = f.eval(0j)
     origin = 0.0
-    if _vanishes(Phi.eval(f0), denom) is not None:
+    if _vanishes(Phi.eval(f0), least.scale) is not None:
         if (dphi := Phi.deriv(f0)) == 0:
             return _failure_report("philike", grid, "Phi'(f(0)) vanishes", 0j)
         if f.deriv(0j) != 0:
             origin = np.real(1.0 / dphi)
-    values = np.concatenate(([origin], np.real(z * f.deriv(z) / denom)))
-    return _worst_sample("philike", values, pts, grid)
+    worst.add(0, np.array([origin]))
+    return worst.report("philike", grid)

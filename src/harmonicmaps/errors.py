@@ -16,17 +16,18 @@ class SingularDerivativeError(HarmonicMapsError):
 class InversionError(HarmonicMapsError):
     """Newton inversion failed to converge.
 
-    Carries the target ``w`` that misses its bound ``tol * max(s, |w|)``
-    (``s`` the map's own scale, see ``herglotz.invert``) by the largest
+    Carries the target ``w`` that misses its ``bound``, ``tol * max(s, |w|)``
+    (``s`` the map's own scale, see ``herglotz.invert``), by the largest
     factor, and as ``best_residual`` the absolute residual
     ``|f(z) - w|`` reached there, so the caller can decide whether to retry
     with a coarser tolerance.
     """
 
-    def __init__(self, message, w=None, best_residual=None):
+    def __init__(self, message, w=None, best_residual=None, bound=None):
         super().__init__(message)
         self.w = w
         self.best_residual = best_residual
+        self.bound = bound
 
 
 class BudgetExceededError(HarmonicMapsError):

@@ -353,7 +353,7 @@ def invert(f: HarmonicMap, w, tol=1e-12):
         raise InversionError(
             f"no convergence inverting '{f.label or 'map'}' at w = {wv[k]}: "
             f"residual {res[k]:.3g} exceeds {bound[k]:.3g}",
-            w=complex(wv[k]), best_residual=float(res[k]),
+            w=complex(wv[k]), best_residual=float(res[k]), bound=float(bound[k]),
         )
     shaped = z.reshape(np.shape(w)) if not scalar else complex(z[0])
     return shaped

@@ -23,7 +23,8 @@ argument and a complex ndarray otherwise, element by element for a tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -212,9 +213,16 @@ def analytic_wirtinger(fn: AnalyticFunction):
 class GridSpec:
     """Polar sample grid on the closed disk ``|z| <= r_max`` including z=0.
 
-    The sample count is ``n_radial * n_angular + 1``; radii are
+    The sample count is ``size = n_radial * n_angular + 1``; radii are
     ``r_max * i/n_radial`` (i = 1..n_radial), the last exactly ``r_max``, and
     angles ``2*pi*j/n_angular``.
+
+    The criterion scans never build the whole grid: they walk it in blocks of
+    ``criteria.GRID_BLOCK`` samples through :meth:`samples`, which multiplies
+    out only the rings a block falls on, so their memory does not grow with
+    the resolution.  The block is a multiple of Newton's seed-ranking block
+    (``herglotz._SEED_BLOCK``), so an inversion over the blocks ranks every
+    target in the same matrix product as one over the whole grid.
     """
 
     n_radial: int = 40
@@ -227,20 +235,47 @@ class GridSpec:
         if not 0.0 < self.r_max < 1.0:
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
 
+    @property
+    def size(self) -> int:
+        return self.n_radial * self.n_angular + 1
+
+    @cached_property
+    def _rings(self):
+        """The ring radii and the unit angles, once per grid for every block of every scan."""
+        radii = self.r_max * np.arange(1, self.n_radial + 1) / self.n_radial
+        radii[-1] = self.r_max  # (rmax*n)/n can miss rmax by an ulp
+        angles = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
+        return radii, np.exp(1j * angles)
+
     def points(self, r_max=None) -> np.ndarray:
         """All sample points, z=0 first, then radii-major order.
 
         ``r_max`` overrides the stored outer radius (used when the same
         resolution is reused on a smaller disk).
         """
-        rmax = self.r_max if r_max is None else r_max
-        if rmax == 0.0:
+        if r_max == 0.0:
             return np.zeros(1, dtype=complex)
-        radii = rmax * np.arange(1, self.n_radial + 1) / self.n_radial
-        radii[-1] = rmax  # (rmax*n)/n can miss rmax by an ulp
-        angles = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-        zs = np.outer(radii, np.exp(1j * angles)).ravel()
-        return np.concatenate(([0.0 + 0.0j], zs))
+        if r_max is not None and r_max != self.r_max:
+            return replace(self, r_max=r_max).points()
+        return self.samples(0, self.size)
+
+    def samples(self, start, stop) -> np.ndarray:
+        """Samples ``start`` to ``stop - 1`` of :meth:`points`, with their bits.
+
+        Only the rings they fall on are multiplied out, each ring as the row
+        ``np.outer`` makes of it.  A radius has no imaginary part, so a
+        point's bits do not depend on where the product loop meets it.
+        """
+        radii, units = self._rings
+        n = self.n_angular
+        lo, hi = max(start, 1) - 1, stop - 1  # offsets past the origin
+        first, last = lo // n, -(-hi // n)
+        zs = np.multiply(radii[first:last, None], units).ravel()[lo - first * n:hi - first * n]
+        return np.concatenate(([0.0 + 0.0j], zs)) if start == 0 else zs
+
+    def point(self, k) -> complex:
+        """Sample ``k`` of :meth:`points`, with its bits."""
+        return complex(self.samples(k, k + 1)[0])
 
     def to_dict(self):
         return {"kind": "polar", "n_radial": self.n_radial,

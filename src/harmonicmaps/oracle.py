@@ -365,8 +365,7 @@ def jacobian_positivity_scan(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID) -> C
 
     A non-finite Jacobian makes the scan inconclusive.
     """
-    pts = grid.points()
-    return _worst_sample("jacobian-positivity", jacobian(f, pts), pts, grid)
+    return _worst_sample("jacobian-positivity", grid, (f,), lambda pts: jacobian(f, pts))
 
 
 def _point_segment_distance(p, a, b):
