@@ -339,6 +339,14 @@ def _argument_candidates(psi_z, size_z, size_zb, diff):
     return None if kept.size == keep.size else kept
 
 
+def _one_direction(psi_z, psi_zb):
+    """Whether direction 0's gap is every direction's: ``Psi_zbar`` is zero at every
+    sample, so each ``W_eps`` is ``Psi_z`` up to the sign of a zero part, and no
+    ``Psi_z`` lies on the negative real axis, the one place where that sign moves
+    an argument (between pi and -pi)."""
+    return not psi_zb.any() and not np.any((psi_z.imag == 0.0) & (psi_z.real < 0.0))
+
+
 def _composed_partials(criterion, f, phi, grid, take):
     """Hand ``take`` each block's ``(start, Psi_z, Psi_zbar)``; a failed scan's report, or None.
 
@@ -389,7 +397,14 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     its arguments must exceed pi.  The margin is the worst slack ``(gap - pi)/2``,
     and ``gamma`` the rotation for the worst direction (from the gap midpoint, no search).
 
-    Every direction is read one way.  Only a few samples can hold its least or
+    Where ``Psi_zbar`` is zero at every sample (``Psi`` analytic, as when f is
+    analytic and phi is ``f^{-1}`` or linear in w alone), ``W_eps`` is ``Psi_z`` in
+    every direction up to the sign of a zero part, and that sign moves an
+    argument only at +-pi.  So unless some ``Psi_z`` lies on the negative real
+    axis with a zero imaginary part, direction 0 alone is valued, at every
+    sample, its gap is every direction's, and its arguments give the witness.
+
+    Otherwise every direction is read one way.  Only a few samples can hold its least or
     greatest argument: when ``|Psi_zbar| < |Psi_z|``, ``arg W_eps`` stays within
     ``arcsin(|Psi_zbar|/|Psi_z|)`` (plus rounding) of ``arg Psi_z`` for every ``eps``
     (:func:`_argument_candidates`); where that thins nothing, every sample is kept.
@@ -422,7 +437,8 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
         eps = float(np.angle(-psi_z[k] * np.conj(psi_zb[k])) % (2.0 * np.pi))
         return _failure_report("theorem1", grid, "W vanishes", grid.point(k), VERDICT_VIOLATED,
                                n_epsilon=n_epsilon, epsilon=eps)
-    kept = _argument_candidates(psi_z, size_z, size_zb, diff)
+    one = _one_direction(psi_z, psi_zb)
+    kept = None if one else _argument_candidates(psi_z, size_z, size_zb, diff)
     # One-row views, so that a one-row block (each where none is dropped) meets no broadcast.
     rows_z, rows_zb = psi_z[None], psi_zb[None]
     z_kept, zb_kept = (rows_z, rows_zb) if kept is None else (rows_z[:, kept], rows_zb[:, kept])
@@ -453,9 +469,10 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     # block, so every row's extremes are taken first; where nothing was
     # dropped the block is that direction at every sample.
     gaps = []
+    read = units[:1] if one else units
     per_block = w.size // z_kept.size
-    for start in range(0, n_epsilon, per_block):
-        eps = units[start:start + per_block]
+    for start in range(0, read.shape[0], per_block):
+        eps = read[start:start + per_block]
         block = arguments(eps, z_kept, zb_kept)
         least, greatest = block.min(axis=1).tolist(), block.max(axis=1).tolist()
         for i, top in enumerate(greatest):
@@ -466,10 +483,14 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
                 full = block[0] if kept is None else arguments(eps[i:i + 1], rows_z, rows_zb)[0]
                 gaps.append(_widest_gap(full))
     del z_kept, zb_kept, kept  # so the worst direction's read below peaks no higher
+    # Read off direction 0 alone, every direction's gap is that one, and the
+    # first of equal margins is the worst; its block is still direction 0 at
+    # every sample (a sort takes a copy), so the witness needs no read.
     margins = [(gap - np.pi) / 2.0 for gap, _ in gaps]
     j = int(np.argmin(margins))
     gap, lo = gaps[j]
-    edge = int(np.flatnonzero(arguments(units[j:j + 1], rows_z, rows_zb)[0] == lo)[-1])
+    row = block[0] if one else arguments(units[j:j + 1], rows_z, rows_zb)[0]
+    edge = int(np.flatnonzero(row == lo)[-1])
     mid = float(lo + gap / 2.0)
     return CheckReport("theorem1", _verdict_from_margin(margins[j]), float(margins[j]),
                        witness=grid.point(edge), gamma=_wrap_angle(-(mid + np.pi)),

@@ -22,6 +22,7 @@ criteria checkers as the canonical converse witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .mappings import (
     WirtingerFunction,
     DEFAULT_GRID,
     FD_STEP,
+    _value,
     _vanishes,
     eval_map,
 )
@@ -220,7 +222,7 @@ def _same_bits(a, b):
     return (a.view(np.uint64) == b.view(np.uint64)).reshape(-1, 2).all(axis=1)
 
 
-def _newton_sweep(f: HarmonicMap, w, z, fz, bound, clamp):
+def _newton_sweep(f: HarmonicMap, w, z, fz, bound, clamp, unit):
     """Damped Newton iterations from the seeds ``z``, whose images are ``fz``.
 
     Returns ``(z, residual)``, with the iterates written into ``z``.  Only
@@ -232,6 +234,14 @@ def _newton_sweep(f: HarmonicMap, w, z, fz, bound, clamp):
     candidate is still worse.  Each kernel gives an element the same bits
     wherever it sits in the array, so every target takes the arithmetic it
     would take if all of them ran every pass.
+
+    ``unit``, a power of two (:func:`_unit`), multiplies h', g' and the
+    residual in the step, so that ``|h'|**2`` of a tiny map stays clear of the
+    guard on the Jacobian; it is 1 for every map of ordinary size, and a
+    power of two changes no bits of the step.  An analytic map
+    (``f.analytic``) solves ``h' dz = r``: its zero g' terms are not valued.
+    An iterate never has a -0 part, so the first try adds the step itself
+    with the bits of adding ``1.0 * step``.
     """
     res = np.abs(w - fz)
     act = np.flatnonzero(res > bound)
@@ -240,24 +250,38 @@ def _newton_sweep(f: HarmonicMap, w, z, fz, bound, clamp):
     for _ in range(50):
         if act.size == 0:
             break
-        hp = f.h.deriv(za)
-        gp = f.g.deriv(za)
-        jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
         # Solve f_z*dz + f_zbar*conj(dz) = r with f_z = h', f_zbar = conj(g').
-        step = np.divide(np.conj(hp) * ra - np.conj(gp) * np.conj(ra), jac,
-                         out=np.zeros_like(hp), where=np.abs(jac) > 1e-300)
-        scale = np.ones_like(jac)
-        cand = _clamped(za + scale * step, clamp)
-        new_r = wa - (f.h.eval(cand) + np.conj(f.g.eval(cand)))
+        hp, r = f.h.deriv(za), ra
+        if unit != 1.0:
+            hp, r = hp * unit, ra * unit
+        # Out of place: NumPy's complex multiply in place (num *= r) can round a
+        # one-item array otherwise.
+        if f.analytic:  # |h'|**2 is never negative
+            jac = np.abs(hp) ** 2
+            num = np.conj(hp) * r
+            solvable = jac > 1e-300
+        else:
+            gp = f.g.deriv(za)
+            if unit != 1.0:
+                gp = gp * unit
+            jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
+            num = np.conj(hp) * r - np.conj(gp) * np.conj(r)
+            solvable = np.abs(jac) > 1e-300
+        step = np.divide(num, jac, out=np.zeros_like(num), where=solvable)
+        cand = _clamped(za + step, clamp)
+        new_r = wa - _value(f, cand)
         new_res = np.abs(new_r)
         worse = np.flatnonzero(new_res > resa)
+        scale = None
         for _half in range(20):
             if worse.size == 0:
                 break
+            if scale is None:
+                scale = np.ones(za.size)
             scale[worse] /= 2.0
             c = _clamped(za[worse] + scale[worse] * step[worse], clamp)
             cand[worse] = c
-            new_r[worse] = nr = wa[worse] - (f.h.eval(c) + np.conj(f.g.eval(c)))
+            new_r[worse] = nr = wa[worse] - _value(f, c)
             new_res[worse] = nres = np.abs(nr)
             worse = worse[nres > resa[worse]]
         keep = new_res <= resa
@@ -316,7 +340,13 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     first value of ``f``, so a few steps usually suffice; at most 50 are
     taken.  A target stops when it meets its bound, or when its step stays
     worse through 20 halvings or lands on the iterate itself, since every
-    later step would repeat that one (see :func:`_newton_sweep`).
+    later step would repeat that one (see :func:`_newton_sweep`).  Where the
+    scale ``s`` below is under ``2**-300``, the seeds are ranked and the steps
+    taken in units of the power of two that brings ``s`` into [1, 2), so a map
+    scaled far below 1 inverts like one of unit size; above it nothing is
+    multiplied, and a power of two changes no bits in any case.  An analytic
+    map (``f.analytic``) takes the step ``conj(h') r / |h'|**2`` without the
+    terms of its zero g', and never values g.
 
     Parameters
     ----------
@@ -338,16 +368,19 @@ def invert(f: HarmonicMap, w, tol=1e-12):
     InversionError
         If some target still exceeds its bound after the last step.
     """
-    scalar = np.ndim(w) == 0
     wv = np.atleast_1d(np.asarray(w, dtype=complex)).ravel()
     if not np.all(np.isfinite(wv)):
         raise DomainError(f"cannot invert at non-finite target w = {wv[~np.isfinite(wv)][0]}")
     clamp = f.domain_radius * (1.0 - 1e-9)
     seeds, images = _seed_cloud(f, clamp)
     scale = min(1.0, float(np.max(np.abs(images - images[0]) / np.max(np.abs(seeds)))))
+    unit = _unit(scale)
     bound = tol * np.maximum(scale, np.abs(wv))
-    nearest = _nearest_seeds(images, wv)
-    z, res = _newton_sweep(f, wv, seeds[nearest], images[nearest], bound, clamp)
+    # Ranked in units of the scale too, so that squares of a tiny map's
+    # images do not underflow; a power of two changes no ranking.
+    nearest = _nearest_seeds(images, wv) if unit == 1.0 else \
+        _nearest_seeds(images * unit, wv * unit)
+    z, res = _newton_sweep(f, wv, seeds[nearest], images[nearest], bound, clamp, unit)
     if np.any(res > bound):
         k = int(np.argmax(res / bound))
         raise InversionError(
@@ -355,8 +388,21 @@ def invert(f: HarmonicMap, w, tol=1e-12):
             f"residual {res[k]:.3g} exceeds {bound[k]:.3g}",
             w=complex(wv[k]), best_residual=float(res[k]), bound=float(bound[k]),
         )
-    shaped = z.reshape(np.shape(w)) if not scalar else complex(z[0])
-    return shaped
+    return z.reshape(np.shape(w)) if np.ndim(w) else complex(z[0])
+
+
+# Below this scale a map's Newton steps and inverse partials are taken in a
+# power of two of it: the guard on the Jacobian is 1e-300, which |h'|**2
+# reaches at |h'| = 1e-150, about 2**-498.
+_TINY_SCALE = 2.0 ** -300
+
+
+def _unit(scale):
+    """1 for a scale of at least ``_TINY_SCALE``; below it, the power of two that brings
+    the scale into [1, 2), at most 2**1000."""
+    if scale >= _TINY_SCALE:
+        return 1.0
+    return math.ldexp(1.0, min(1 - math.frexp(scale)[1], 1000))
 
 
 def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
@@ -369,11 +415,20 @@ def inverse_wirtinger(f: HarmonicMap) -> WirtingerFunction:
 
     so composing back with ``f`` returns exactly (1, 0).  ``partials`` runs
     one Newton solve for both, and the bundle keeps no state between calls.
+    Where the largest ``|h'|`` is below ``2**-300``, the derivatives are taken
+    in the power of two that brings it into [1, 2) and the quotients scaled back,
+    so that ``J_f`` of a tiny map does not underflow; a power of two changes
+    no bits.
     """
     def partials(w, wbar):
         z = invert(f, w)
         hp, gp = f.h.deriv(z), f.g.deriv(z)
-        jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
-        return np.conj(hp) / jac, -np.conj(gp) / jac
+        size = np.abs(hp)
+        unit = _unit(float(np.max(size, initial=0.0)))
+        if unit != 1.0:
+            hp, gp, size = hp * unit, gp * unit, size * unit
+        jac = size ** 2 - np.abs(gp) ** 2
+        pw, pwb = np.conj(hp) / jac, -np.conj(gp) / jac
+        return (pw, pwb) if unit == 1.0 else (pw * unit, pwb * unit)
 
     return WirtingerFunction(eval=lambda w, wbar: invert(f, w), partials=partials)

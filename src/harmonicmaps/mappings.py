@@ -23,7 +23,7 @@ argument and a complex ndarray otherwise, element by element for a tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -80,6 +80,9 @@ class AnalyticFunction:
     deriv: Callable
     domain_radius: float = 1.0
     description: str = ""
+    # Set only by constant_function(0): the zero function, whose value and
+    # derivative are +0 at every point.
+    zero: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.domain_radius <= 1.0:
@@ -89,13 +92,20 @@ class AnalyticFunction:
 
 
 def constant_function(value=0.0, description="constant"):
-    """Analytic function with constant value (derivative identically zero)."""
+    """Analytic function with constant value (derivative identically zero).
+
+    With the value ``0`` (both parts +0) the bundle is marked ``zero``, so a
+    harmonic map with it as ``g`` is known to be analytic.
+    """
     c = complex(value)
-    return AnalyticFunction(
+    fn = AnalyticFunction(
         eval=lambda z: np.full_like(z, c),
         deriv=np.zeros_like,
         description=description,
     )
+    if c == 0 and not (np.signbit(c.real) or np.signbit(c.imag)):
+        object.__setattr__(fn, "zero", True)
+    return fn
 
 
 def identity_function():
@@ -168,6 +178,12 @@ class HarmonicMap:
     @property
     def domain_radius(self) -> float:
         return min(self.h.domain_radius, self.g.domain_radius)
+
+    @property
+    def analytic(self) -> bool:
+        """Whether g is the zero function :func:`constant_function` builds for 0 (as in
+        :meth:`from_analytic`): known from how g was built, never from its values."""
+        return self.g.zero
 
     @classmethod
     def from_analytic(cls, fn: AnalyticFunction, label=None):
@@ -291,15 +307,35 @@ def _check_domain(f, z):
         raise DomainError(f"|z| = {zmax:.6g} outside domain radius {f.domain_radius:.6g}")
 
 
-def eval_map(f: HarmonicMap, z):
-    """Value ``h(z) + conj(g(z))`` of the harmonic map at z (scalar or array)."""
-    _check_domain(f, z)
+# conj(g(z)) of the zero function g, +0 - 0i: adding it to h(z) gives the bits
+# of adding conj of g's +0 values.
+_CONJ_ZERO = complex(0.0, -0.0)
+
+
+def _value(f: HarmonicMap, z):
+    """``h(z) + conj(g(z))`` at points in f's domain; an analytic map's ``g`` is not
+    valued, and the scalar ``+0 - 0i`` stands in for ``conj(g(z))`` (through
+    ``np.add``, so a scalar sum is a NumPy complex, as with ``np.conj``)."""
+    if f.analytic:
+        return np.add(f.h.eval(z), _CONJ_ZERO)
     return f.h.eval(z) + np.conj(f.g.eval(z))
+
+
+def eval_map(f: HarmonicMap, z):
+    """Value ``h(z) + conj(g(z))`` of the harmonic map at z (scalar or array).
+
+    An analytic map (``f.analytic``) does not value its zero ``g``: the scalar
+    ``+0 - 0i`` is added instead, which gives the same bits.
+    """
+    _check_domain(f, z)
+    return _value(f, z)
 
 
 def jacobian(f: HarmonicMap, z):
     """Jacobian ``|h'(z)|**2 - |g'(z)|**2``; positive iff sense-preserving at z."""
     _check_domain(f, z)
+    if f.analytic:  # |h'|**2 - 0.0 has the bits of |h'|**2
+        return np.abs(f.h.deriv(z)) ** 2
     return np.abs(f.h.deriv(z)) ** 2 - np.abs(f.g.deriv(z)) ** 2
 
 
@@ -330,7 +366,7 @@ def composed_wirtinger(f: HarmonicMap, phi: WirtingerFunction, z):
     Returns the pair ``(Psi_z, Psi_zbar)``.
     """
     _check_domain(f, z)
-    w = f.h.eval(z) + np.conj(f.g.eval(z))
+    w = _value(f, z)
     pw, pwb = phi.partials(w, np.conj(w))
     hp, gp = f.h.deriv(z), f.g.deriv(z)
     return pw * hp + pwb * gp, pw * np.conj(gp) + pwb * np.conj(hp)

@@ -35,6 +35,7 @@ from harmonicmaps.criteria import (
     _wrap_angle,
     golden_section_max,
 )
+from harmonicmaps.jsonio import dumps
 from harmonicmaps.mappings import AnalyticFunction, combination, composed_wirtinger
 
 GRID_05 = GridSpec(40, 96, 0.5)
@@ -490,38 +491,51 @@ def test_theorem1_values_few_samples_per_direction():
     assert kept_samples(koebe, linear_wirtinger(2.0, -1.0), GRID_09) is None
 
 
-@pytest.mark.parametrize("name, phi_spec, failed_reads", [
-    ("koebe", (2.0, -1.0), DEFAULT_N_EPSILON),
-    ("f_k", (2.0, -1.0), 0),
-    ("koebe", "inverse", 0),
-    # Nothing dropped: every direction is a one-row block over every sample,
-    # whose wrap read answers, or whose row is sorted as it is.
-    ("identity", (1.0, 0.0), 0),
-    ("identity", "inverse", 0),
-    ("crossing", (1.0, 0.0), DEFAULT_N_EPSILON),
+N_EPS = DEFAULT_N_EPSILON
+
+
+@pytest.mark.parametrize("name, phi_spec, failed_reads, sorts, valued", [
+    ("koebe", (2.0, -1.0), N_EPS, N_EPS, N_EPS),
+    # Psi_zbar = 0 at every sample (f_k's g' = k h' with k = 1/2 cancels the
+    # -conj(h') of phi; the others are analytic with phi analytic in w), so
+    # direction 0 alone is valued, at every sample, its gap is every
+    # direction's, and that read is the witness's: cayley's arguments spread
+    # beyond pi, so it sorts once.
+    ("f_k", (2.0, -1.0), 0, 0, 0),
+    ("koebe", "inverse", 0, 0, 0),
+    ("identity", (1.0, 0.0), 0, 0, 0),
+    ("identity", "inverse", 0, 0, 0),
+    ("h1", "inverse", 0, 0, 0),
+    ("cayley", (2.0, 0.0), N_EPS, 1, 0),
+    # Psi_z = -1 at every sample: on the negative real axis the sign of a
+    # zero part can move an argument between pi and -pi, so every direction
+    # is valued.
+    ("identity", (-1.0, 0.0), 0, 0, N_EPS),
+    ("crossing", (1.0, 0.0), N_EPS, N_EPS, N_EPS),
     # |Psi_zbar| > |Psi_z| at every sample, so nothing can be dropped.
-    ("koebe", (0.3, 1.0), DEFAULT_N_EPSILON),
-    # Samples dropped: most of h0's; h1's all but 2; h_r's all but 440 of
-    # 3841, so 8 directions share a block and each of them sorts; some of
-    # h0's directions with (2i, -1) sort and the rest answer.
-    ("h0", (2.0, -1.0), 0),
-    ("h1", "inverse", 0),
-    ("h_r", (-2.0, 0.5), DEFAULT_N_EPSILON),
-    ("h0", (2.0j, -1.0), 10),
+    ("koebe", (0.3, 1.0), N_EPS, N_EPS, N_EPS),
+    # Samples dropped: most of h0's; h_r's all but 440 of 3841, so 8
+    # directions share a block and each of them sorts; some of h0's
+    # directions with (2i, -1) sort and the rest answer.
+    ("h0", (2.0, -1.0), 0, 0, 0),
+    ("h_r", (-2.0, 0.5), N_EPS, N_EPS, N_EPS),
+    ("h0", (2.0j, -1.0), 10, 10, 10),
 ])
 def test_theorem1_sorts_only_directions_whose_wrap_read_fails(monkeypatch, name, phi_spec,
-                                                               failed_reads):
-    # Guards the work: every sample is sorted once per direction whose wrap
-    # read fails, and never passed to np.angle; W is valued at every sample
-    # once per direction where nothing is dropped, else once per sorted
-    # direction, and once more for the witness.
+                                                               failed_reads, sorts, valued):
+    # Guards the work: ``failed_reads`` of the directions fail their wrap
+    # read, and every sample is sorted ``sorts`` times (once per such
+    # direction, or once in all where direction 0 is read for every one) and
+    # never passed to np.angle; W is valued at every sample ``valued`` times
+    # (each direction where nothing is dropped, else each sorted direction),
+    # and once more for the witness, which is direction 0's one read where
+    # that read serves every direction.
     f = crossing_map() if name == "crossing" else gallery_get(name, GALLERY_PARAMS.get(name))
     phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
     psi_z, psi_zb = composed_wirtinger(f, phi, GRID_09.points())
     angles = 2.0 * np.pi * np.arange(DEFAULT_N_EPSILON) / DEFAULT_N_EPSILON
     wrap, _ = wrap_reads(block_arguments(psi_z, psi_zb, angles))
     assert sum(gap <= np.pi + _GAP_BAND for gap in wrap) == failed_reads
-    valued = DEFAULT_N_EPSILON if kept_samples(f, phi, GRID_09) is None else failed_reads
     calls = []
 
     def counted(label, fn):
@@ -537,7 +551,34 @@ def test_theorem1_sorts_only_directions_whose_wrap_read_fails(monkeypatch, name,
     monkeypatch.setattr(np, "multiply", counted("value", np.multiply))
     assert check_theorem1(f, phi, GRID_09).meta.get("failure") is None
     assert (calls.count("sort"), calls.count("angle"), calls.count("value")) == \
-        (failed_reads, 0, valued + 1)
+        (sorts, 0, valued + 1)
+
+
+# Psi_zbar is zero at every sample of these.  Direction 0 is read for all
+# directions except where some Psi_z lies on the negative real axis: h1' is
+# negative on (-1, 0), and on the identity (-1, 0) puts every Psi_z there.
+ONE_DIRECTION_CASES = [
+    *[(name, phi_spec, name != "h1" or phi_spec == "inverse")
+      for name in ("identity", "h0", "koebe", "h1", "cayley")
+      for phi_spec in ("inverse", (1.0, 0.0), (2.0, 0.0))],
+    ("f_k", (2.0, -1.0), True),
+    ("identity", (-1.0, 0.0), False),
+]
+
+
+@pytest.mark.parametrize("name, phi_spec, one", ONE_DIRECTION_CASES)
+@pytest.mark.parametrize("n_epsilon", [DEFAULT_N_EPSILON, 7])
+def test_theorem1_one_direction_read_bit_for_bit(monkeypatch, name, phi_spec, one, n_epsilon):
+    # The report's bytes with direction 0 read for all, and with every
+    # direction read.
+    f = gallery_get(name, GALLERY_PARAMS.get(name))
+    phi = inverse_wirtinger(f) if phi_spec == "inverse" else linear_wirtinger(*phi_spec)
+    psi_z, psi_zb = composed_wirtinger(f, phi, GRID_09.points())
+    assert not psi_zb.any()
+    assert criteria._one_direction(psi_z, psi_zb) == one
+    report = dumps(check_theorem1(f, phi, GRID_09, n_epsilon).to_dict())
+    monkeypatch.setattr(criteria, "_one_direction", lambda psi_z, psi_zb: False)
+    assert report == dumps(check_theorem1(f, phi, GRID_09, n_epsilon).to_dict())
 
 
 def test_theorem1_requires_four_directions():

@@ -360,6 +360,38 @@ def test_invert_small_translated_map(name, params, a):
     assert check_corollary1(af, inverse_wirtinger(af), grid).holds
 
 
+def scaled_map(name, a):
+    """The gallery map times ``a``: ``a h + conj(a g)``, analytic where f is."""
+    f = gallery_get(name, {"k": 0.5} if name == "f_k" else None)
+    h = combination([(a, f.h, 1.0)])
+    if f.analytic:
+        return HarmonicMap.from_analytic(h, label=f.label)
+    return HarmonicMap(h=h, g=combination([(np.conj(a), f.g, 1.0)]), label=f.label)
+
+
+@pytest.mark.parametrize("name", ["koebe", "f_k"])
+@pytest.mark.parametrize("a", [1e-150, 1e-200])
+def test_invert_tiny_map(name, a):
+    # |h'|**2 of such a map reaches or underflows past the guard on the
+    # Jacobian, unless the step is taken in units of the map's scale.
+    f = scaled_map(name, a)
+    grid = GridSpec(10, 24, 0.9)
+    z = grid.points()
+    assert np.max(np.abs(invert(f, eval_map(f, z)) - z)) <= 1e-8
+    # The stop bound is tol * max(s, |w|), and s = min(1, ...) is below 1
+    # only for a small map, so margins are compared with the map at 1e-10,
+    # which inverts without the unit, and with the map at unit scale up to
+    # what that looser bound moves them (koebe's corollary1: 1.44e-9).
+    small, unit = scaled_map(name, 1e-10), scaled_map(name, 1.0)
+    for check in (check_corollary1, check_theorem1):
+        rep = check(f, inverse_wirtinger(f), grid)
+        assert rep.holds
+        assert rep.margin == pytest.approx(check(small, inverse_wirtinger(small), grid).margin,
+                                           abs=1e-12)
+        assert rep.margin == pytest.approx(check(unit, inverse_wirtinger(unit), grid).margin,
+                                           abs=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # the Newton sweep against the one it replaced, bit for bit
 
@@ -369,8 +401,10 @@ def reference_sweep(f, w, z, bound, clamp, stats=None):
 
     Every iteration gathers and scatters all active targets, each halving
     values all of them, a refused step is retried until the 50th iteration,
-    and the starting residual comes from evaluating ``f`` at the seeds.
-    ``stats`` counts the halving passes and the points evaluated.
+    and the starting residual comes from evaluating ``f`` at the seeds.  It
+    values g and g' in full, also where g is the zero function, and works at
+    the map's own scale.  ``stats`` counts the halving passes and the points
+    evaluated.
     """
     def clamped(z):
         mag = np.abs(z)
@@ -379,7 +413,7 @@ def reference_sweep(f, w, z, bound, clamp, stats=None):
     stats = {} if stats is None else stats
     stats.update(halvings=0, evaluations=0)
     z = z.copy()
-    r = w - eval_map(f, z)
+    r = w - (f.h.eval(z) + np.conj(f.g.eval(z)))
     res = np.abs(r)
     for _ in range(50):
         act = np.flatnonzero(res > bound)
@@ -410,12 +444,12 @@ def reference_sweep(f, w, z, bound, clamp, stats=None):
 
 
 def sweep_inputs(f, w, tol=1e-12):
-    """invert's seeds, their images, stop bounds and clamp for the targets ``w``."""
+    """invert's seeds, their images, stop bounds, clamp and unit for the targets ``w``."""
     clamp = f.domain_radius * (1.0 - 1e-9)
     seeds, images = herglotz._seed_cloud(f, clamp)
     scale = min(1.0, float(np.max(np.abs(images - images[0]) / np.max(np.abs(seeds)))))
     k = herglotz._nearest_seeds(images, w)
-    return seeds[k], images[k], tol * np.maximum(scale, np.abs(w)), clamp
+    return seeds[k], images[k], tol * np.maximum(scale, np.abs(w)), clamp, herglotz._unit(scale)
 
 
 def assert_sweep_matches_reference(f, w):
@@ -423,10 +457,10 @@ def assert_sweep_matches_reference(f, w):
 
     Returns the reference's stats, with the count of targets left above their bound.
     """
-    z0, fz, bound, clamp = sweep_inputs(f, w)
+    z0, fz, bound, clamp, unit = sweep_inputs(f, w)
     stats = {}
     z_ref, res_ref = reference_sweep(f, w, z0, bound, clamp, stats)
-    z, res = herglotz._newton_sweep(f, w, z0, fz, bound, clamp)
+    z, res = herglotz._newton_sweep(f, w, z0, fz, bound, clamp, unit)
     assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
     assert np.array_equal(res.view(np.uint64), res_ref.view(np.uint64))
     stats["unconverged"] = int(np.count_nonzero(res > bound))
@@ -479,6 +513,28 @@ def test_newton_sweep_matches_the_reference_on_random_maps_bit_for_bit():
     assert unconverged > 0
 
 
+def test_newton_sweep_matches_the_reference_on_random_analytic_maps_bit_for_bit():
+    # Series maps with no g, which the sweep solves without g' and the
+    # reference with it.  Some fold; some are scaled below 2**-300, so that
+    # the sweep works in a unit other than 1 (yet not so far that the
+    # reference, at the map's own scale, meets the guard on the Jacobian).
+    rng = np.random.default_rng(2027)
+    pts = GridSpec(6, 16, 0.9).points()
+    folded = halved = scaled = 0
+    for _ in range(200):
+        c = np.array([1.0, *(rng.uniform(0.0, 1.2) * (rng.standard_normal(3)
+                                                      + 1j * rng.standard_normal(3)) / 2.0)])
+        if rng.random() < 0.3:
+            c *= 10.0 ** -rng.uniform(95.0, 110.0)
+        f = HarmonicMap.from_analytic(from_series(c))
+        assert f.analytic
+        # h' has a zero inside the grid's disk: the map folds there.
+        folded += bool(np.any(np.abs(np.roots(c[::-1] * np.arange(c.size, 0, -1))) < 0.9))
+        scaled += sweep_inputs(f, pts)[4] != 1.0
+        halved += assert_sweep_matches_reference(f, eval_map(f, pts))["halvings"] > 0
+    assert folded > 0 and halved > 0 and scaled > 0
+
+
 def test_newton_sweep_matches_the_reference_where_iterates_hit_the_clamp_bit_for_bit(monkeypatch):
     hits = []
     real_clamped = herglotz._clamped
@@ -508,11 +564,11 @@ def test_newton_sweep_retires_an_unreachable_target_bit_for_bit(name, w, evaluat
                                                                  reference_evaluations):
     f, count = counting_map(gallery_get(name))
     wv = np.array([w + 0j])
-    z0, fz, bound, clamp = sweep_inputs(f, wv)
+    z0, fz, bound, clamp, unit = sweep_inputs(f, wv)
     stats = {}
     z_ref, res_ref = reference_sweep(f, wv, z0, bound, clamp, stats)
     count[0] = 0
-    z, res = herglotz._newton_sweep(f, wv, z0, fz, bound, clamp)
+    z, res = herglotz._newton_sweep(f, wv, z0, fz, bound, clamp, unit)
     assert (count[0], stats["evaluations"]) == (evaluations, reference_evaluations)
     assert np.array_equal(z.view(np.uint64), z_ref.view(np.uint64))
     assert np.array_equal(res.view(np.uint64), res_ref.view(np.uint64))

@@ -27,6 +27,7 @@ from harmonicmaps import (
 from harmonicmaps.construct import A_GRID, conjugate_z_perturbation, construct, normalize
 from harmonicmaps.gallery import names as gallery_names
 from harmonicmaps.herglotz import big_phi_function, structural_phi_prime
+from harmonicmaps.jsonio import map_from_spec
 from harmonicmaps.mappings import (
     FD_STEP,
     analytic_wirtinger,
@@ -238,6 +239,32 @@ def test_constant_function_shapes():
     out = fn.eval(np.zeros(4, dtype=complex))
     assert out.shape == (4,) and np.all(out == 2.0 - 1.0j)
     assert np.all(fn.deriv(np.zeros(4, dtype=complex)) == 0)
+
+
+def test_maps_with_zero_g_are_analytic():
+    assert gallery_get("koebe").analytic
+    assert HarmonicMap(h=identity_function(), g=from_series([])).analytic
+    assert map_from_spec({"type": "series", "h": [[1.0, 0.0], [0.5, 0.0]]}).analytic
+    # Not the zero function that constant_function(0) builds: g is valued.
+    for g in (constant_function(-0.0), constant_function(1e-300), from_series([0.0])):
+        assert not HarmonicMap(h=identity_function(), g=g).analytic
+    assert not gallery_get("f_k", {"k": 0.5}).analytic
+
+
+@pytest.mark.parametrize("name", ["identity", "h0", "koebe", "cayley"])
+def test_analytic_map_values_bit_for_bit(name):
+    # +0 - 0i stands in for conj(g(z)); with +0 + 0i an h(z) whose imaginary
+    # part is -0 would lose its sign.
+    f = gallery_get(name)
+    z = np.array([0j, complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.0, -0.0),
+                  complex(-0.5, -0.0), 0.3 - 0.2j, -0.1 + 0.7j])
+    g = constant_function(0.0)
+    for value, full in [
+        (eval_map(f, z), f.h.eval(z) + np.conj(g.eval(z))),
+        (jacobian(f, z), np.abs(f.h.deriv(z)) ** 2 - np.abs(g.deriv(z)) ** 2),
+    ]:
+        assert value.view(np.uint64).tolist() == full.view(np.uint64).tolist()
+    assert type(eval_map(f, 0.5 - 0j)) is type(f.h.eval(0.5 - 0j) + np.conj(g.eval(0.5 - 0j)))
 
 
 # ---------------------------------------------------------------------------
