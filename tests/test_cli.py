@@ -479,6 +479,18 @@ def test_render_rejects_rho_outside_domain(capsys):
     assert "error:" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_render_refuses_a_non_finite_image(capsys, tmp_path):
+    out = tmp_path / "x.svg"
+    spec = json.dumps({"type": "series", "h": [1e308, 1e308, 1e308]})
+    code, stdout, err = run_cli(capsys, ["render", "--spec", spec, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert "is not finite" in err
+    assert not out.exists()
+
+
 def test_render_unwritable_path(capsys, tmp_path):
     out = tmp_path / "missing_dir" / "x.svg"
     code, _, err = run_cli(capsys, ["render", "--named", "h0",

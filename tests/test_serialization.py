@@ -18,7 +18,16 @@ from harmonicmaps.jsonio import (
     structural_params_from_dict,
 )
 from harmonicmaps.mappings import GridSpec, eval_map
-from harmonicmaps.render import _path, disk_image_curves, svg_document
+from harmonicmaps.render import (
+    N_CIRCLES,
+    N_RAYS,
+    RAY_SAMPLES,
+    _BLOCK,
+    _UNIT_CIRCLE,
+    _path_data,
+    disk_image_curves,
+    svg_document,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +147,19 @@ def test_svg_title_is_escaped():
     assert "<title>&lt;&amp;evil&gt;</title>" in text
 
 
+# Digests of the documents as formatted one number at a time.  The identity,
+# h0 and f_k hold numbers whose |x| * 1e6 lies near a half-integer.
 @pytest.mark.parametrize("name, params, slit, digest", [
+    ("identity", None, False, "1199958b1e944538193c185811336569dec462f31e778f3bdc07b4d6d4e39967"),
+    ("cayley", None, False, "fb5db961ac9490d217471e14a91c2e8fe66689dfd166552b82a22b4e97e9b431"),
+    ("koebe", None, False, "08f2da4e80e0009f3172dfa62bfa8b7daf8f2e1548745ff508eeefcac6364f34"),
+    ("h0", None, False, "a889c0c95c2339017c54a5cce162ac1409494f4953a318f81d15478c4ab9c036"),
     ("h1", None, True, "93b5d04edaa63ebcf9524df76588703fd809437d22992fc9bf710b08f3166462"),
+    ("h_r", {"r": 0.5}, True, "23bf6dd5458c73b1a334b011873ef27cd8eea4f20ca524f4203b53abbe3b220a"),
+    ("F_eps", {"r": 0.5, "eps": 0.01}, True,
+     "7c3e900275c3ecb92e7f18ce19b6f0011bdac30383afd216f0b3ff8ea2c2fcfe"),
+    ("f_eps", {"r": 0.5, "eps": 0.01}, True,
+     "aa27e91ef06055086a659e93b3b2e06a8ff32f738be2efd5c590817c247a9fad"),
     ("f_k", {"k": 0.5}, False, "05516f4411427de980c702af1afd2d43a039523281baa7af477ea5ae6ca3d866"),
 ])
 def test_svg_document_bytes_are_pinned(name, params, slit, digest):
@@ -158,7 +178,57 @@ def _per_vertex_coords(points):
 
 def test_path_formats_every_number_as_one_at_a_time():
     # -0.0 and -4e-7 print as "-0.000000" and become "0.000000"; -10.0 keeps
-    # its sign, and nan and inf keep their names.
-    values = [-0.0, 0.0, -4e-7, 4e-7, -10.0, 10.0, np.nan, np.inf, -np.inf, -1.2345675]
+    # its sign.
+    values = [-0.0, 0.0, -4e-7, 4e-7, -10.0, 10.0, -1.2345675]
     points = np.array([complex(x, y) for x in values for y in values])
-    assert _path(points, "#000000", 1.0).startswith(f'<path d="M {_per_vertex_coords(points)}" ')
+    assert _path_data([points]) == [_per_vertex_coords(points)]
+
+
+def test_path_data_matches_the_per_number_reference_bit_for_bit():
+    rng = np.random.default_rng(28)
+    edge = 2.0 ** 52 / 1e6  # from here on |x| * 1e6 has no fraction bits
+    values = np.concatenate([
+        [0.0, 4e-7, 5e-7, 0.0078125, 999.9999995, 4230.0000005, 1e12, 1e300],
+        (np.arange(-20_000, 20_001) + 0.5) * 1e-6,
+        edge * (1.0 + np.arange(-40, 41) * 2.0 ** -45),
+        np.nextafter(edge, [0.0, np.inf]),
+        10.0 ** rng.uniform(-8.0, 9.0, 100_000),
+    ])
+    values = np.concatenate((values, -values))
+    points = values + 1j * rng.permutation(values)
+    # Runs of every length from 1 up, so paths start and end anywhere in a block.
+    counts = list(range(1, 600))
+    counts.append(len(points) - sum(counts))
+    curves = np.split(points, np.cumsum(counts)[:-1])
+    assert len(points) > 10 * _BLOCK
+    assert _path_data(curves) == [_per_vertex_coords(c) for c in curves]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_svg_document_refuses_a_non_finite_image():
+    # 1e308 * (1 + z + z**2) overflows to inf on the outer circles, and
+    # 1e308 * (z - z**2) to inf - inf = nan.  Every scan calls such a map
+    # inconclusive.
+    f = map_from_spec({"type": "series", "h": [1e308, 1e308, 1e308]})
+    with pytest.raises(ValueError, match="not finite"):
+        svg_document(f)
+    with pytest.raises(ValueError, match=r"nan"):
+        svg_document(map_from_spec({"type": "series", "h": [0.0, 1e308, -1e308]}))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("identity", None), ("cayley", None), ("koebe", None), ("h0", None), ("h1", None),
+    ("h_r", {"r": 0.5}), ("F_eps", {"r": 0.5, "eps": 0.01}),
+    ("f_eps", {"r": 0.5, "eps": 0.01}), ("f_k", {"k": 0.5}),
+])
+def test_disk_image_curves_match_one_eval_map_per_curve_bit_for_bit(name, params):
+    f = gallery_get(name, params)
+    rho = 0.9
+    circles, rays = disk_image_curves(f, rho)
+    radii = rho * np.arange(RAY_SAMPLES + 1) / RAY_SAMPLES
+    expect = ([eval_map(f, rho * (j / N_CIRCLES) * _UNIT_CIRCLE) for j in range(1, N_CIRCLES + 1)]
+              + [eval_map(f, radii * np.exp(2j * np.pi * k / N_RAYS)) for k in range(N_RAYS)])
+    got = circles + rays
+    assert len(got) == len(expect)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expect))
