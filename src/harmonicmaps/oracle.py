@@ -4,7 +4,8 @@ Criterion checkers certify inequalities that merely imply univalence; the
 oracles attack the conclusion directly at fixed resolution:
 
 * :func:`injectivity_scan` -- O(n^2) pairwise separation of image points on a
-  quasi-uniform (sunflower) sample of the disk,
+  quasi-uniform (sunflower) sample of the disk, built once per size and
+  shared read-only (:func:`_sunflower_layout`),
 * :func:`jacobian_positivity_scan` -- local sense-preservation on a grid,
 * :func:`curve_simplicity` -- does the image of a circle self-intersect?
   (polyline segment-pair test with orientation predicates, plus the winding
@@ -30,6 +31,8 @@ only until its next call, and no batch allocates an array of its own size.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -58,18 +61,57 @@ RUN = 24
 PRUNE_SLACK = 1e-9
 
 
+def _sunflower_size(n, r_max):
+    """``(n, r_max)`` as an int of at least 1 and a finite positive float.
+
+    Raises ValueError for any other count or radius, such as ``60.5`` points
+    or a radius of 0, -0.5 or NaN, none of which makes a sample of that size.
+    """
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"need a whole number of at least one point, got {n}")
+    if not 0.0 < r_max < np.inf:
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
+    return int(n), float(r_max)
+
+
 def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
     """Golden-angle spiral filling the disk ``|z| <= r_max`` quasi-uniformly.
 
     The k-th point sits at radius ``r_max*sqrt((k+0.5)/n)`` and angle
     ``k*pi*(3-sqrt(5))``; density is nearly constant with no grid anisotropy.
+    ``n`` must be a whole number of at least 1 and ``r_max`` finite and
+    positive (ValueError otherwise).
     """
-    if n < 1:
-        raise ValueError("need at least one point")
+    n, r_max = _sunflower_size(n, r_max)
     k = np.arange(n)
     radii = r_max * np.sqrt((k + 0.5) / n)
     angles = k * np.pi * (3.0 - np.sqrt(5.0))
     return radii * np.exp(1j * angles)
+
+
+def _run_order(pts):
+    """The order in which the pair kernel cuts the sample ``pts`` into runs.
+
+    Runs follow the points row by row over a domain grid, in alternate
+    directions; sqrt(m / RUN) rows make a run about as wide as it is tall.
+    """
+    rows = max(1, int(round(np.sqrt(pts.size / RUN))))
+    y = pts.imag - pts.imag.min()
+    row = np.minimum((y * (rows / (np.max(y) or 1.0))).astype(int), rows - 1)
+    return np.lexsort((np.where(row % 2, -pts.real, pts.real), row))
+
+
+@functools.lru_cache(maxsize=8)
+def _sunflower_layout(n, r_max):
+    """``sunflower_points(n, r_max)`` and its :func:`_run_order`, both read-only.
+
+    A layout depends on nothing but its size, so the scans of many maps at one
+    size share it: the cache keeps the last 8 sizes, 24 bytes per point each.
+    """
+    pts = sunflower_points(n, r_max)
+    order = _run_order(pts)
+    pts.flags.writeable = order.flags.writeable = False
+    return pts, order
 
 
 def _box_slack(lo, hi):
@@ -319,9 +361,11 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     ----------
     f : HarmonicMap
     n_points : int
-        Sample count (>= 50) for the default sunflower layout.
+        Sample count (a whole number >= 50) for the default sunflower layout,
+        which is built once per ``(n_points, r_max)`` and shared read-only
+        (see :func:`_sunflower_layout`).
     r_max : float
-        Sample disk radius.
+        Sample disk radius, finite and positive.
     tol : float
         Collision threshold on the ratio, relative to ``s`` (default 1e-6);
         finite and >= 0.
@@ -334,24 +378,22 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     if points is None:
         if n_points < 50:
             raise ValueError("need at least 50 sample points")
-        pts = sunflower_points(n_points, r_max)
-        layout = {"kind": "sunflower", "n": int(n_points), "r_max": float(r_max)}
+        n_points, r_max = _sunflower_size(n_points, r_max)
+        pts, order = _sunflower_layout(n_points, r_max)
+        layout = {"kind": "sunflower", "n": n_points, "r_max": r_max}
     else:
         pts = np.asarray(points, dtype=complex).ravel()
         if pts.size < 2:
             raise ValueError("need at least two sample points")
         if np.unique(pts).size < pts.size:
             raise ValueError("explicit sample points must be distinct")
-        layout = {"kind": "explicit", "n": int(pts.size)}
+        layout, order = {"kind": "explicit", "n": int(pts.size)}, None
     vals = eval_map(f, pts)
     if (fail := _nonfinite_report("injectivity", vals, pts, layout)) is not None:
         return fail
-    # Runs follow the points row by row over a domain grid, in alternate
-    # directions; sqrt(m / RUN) rows make a run about as wide as it is tall.
-    rows = max(1, int(round(np.sqrt(pts.size / RUN))))
-    y = pts.imag - pts.imag.min()
-    row = np.minimum((y * (rows / (np.max(y) or 1.0))).astype(int), rows - 1)
-    ratio, i, j = _ratio_min(vals, pts, np.lexsort((np.where(row % 2, -pts.real, pts.real), row)))
+    if order is None:
+        order = _run_order(pts)
+    ratio, i, j = _ratio_min(vals, pts, order)
     # The image radius over the sample radius: the ratio's own scale.
     scale = float(np.max(np.abs(vals - np.mean(vals)))) / float(np.max(np.abs(pts)))
     verdict = VERDICT_HOLDS if ratio > tol * scale else VERDICT_VIOLATED

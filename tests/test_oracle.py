@@ -1,5 +1,6 @@
 """Direct injectivity/orientation oracles: layouts, scans, and curve tests."""
 
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +21,7 @@ from harmonicmaps import (
     sunflower_points,
 )
 from harmonicmaps import gallery, oracle
+from harmonicmaps.errors import DomainError
 from harmonicmaps.mappings import AnalyticFunction, combination, constant_function, eval_map
 
 
@@ -62,6 +64,109 @@ def test_sunflower_layout():
 def test_sunflower_needs_points():
     with pytest.raises(ValueError):
         sunflower_points(0)
+
+
+@pytest.mark.parametrize("n, r_max", [
+    (60.5, 0.95), (np.nan, 0.95), (np.inf, 0.95),
+    (400, -0.5), (400, 0.0), (400, np.nan), (400, np.inf),
+])
+def test_sunflower_rejects_sizes_that_make_no_sample(n, r_max):
+    # A negative radius made the sample of -r_max turned by pi, a zero one an
+    # empty-reduction error, and 60.5 points a sample of 61 reported as 60.
+    before = oracle._sunflower_layout.cache_info().currsize
+    with pytest.raises(ValueError, match="whole number|r_max"):
+        sunflower_points(n, r_max)
+    with pytest.raises(ValueError, match="whole number|r_max"):
+        injectivity_scan(gallery_get("koebe"), n_points=max(n, 50), r_max=r_max)
+    assert oracle._sunflower_layout.cache_info().currsize == before
+
+
+def test_sunflower_beyond_the_domain_is_a_domain_error():
+    with pytest.raises(DomainError):
+        injectivity_scan(gallery_get("koebe"), n_points=50, r_max=1.5)
+
+
+@pytest.mark.parametrize("n, r_max", [
+    (50, 0.95), (400, 0.95), (2000, 0.95), (2048, 0.95), (1000, 0.37),
+    (8000, 0.95), (8000.0, 0.95), (np.int64(8000), np.float64(0.95)),
+])
+def test_sunflower_layout_bit_for_bit(n, r_max):
+    # The cached layout is the sample and run order built afresh, to the bit,
+    # whatever type the size comes in.
+    pts, order = oracle._sunflower_layout(n, r_max)
+    fresh = sunflower_points(int(n), float(r_max))
+    assert pts.dtype == fresh.dtype and pts.tobytes() == fresh.tobytes()
+    expect = oracle._run_order(fresh)
+    assert order.dtype == expect.dtype and order.tobytes() == expect.tobytes()
+
+
+def test_sunflower_layout_is_read_only():
+    for a in oracle._sunflower_layout(400, 0.95):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+
+
+def test_scan_builds_each_layout_once(monkeypatch):
+    built = []
+
+    def counted(n, r_max=0.95):
+        built.append((n, r_max))
+        return sunflower_points(n, r_max)
+
+    oracle._sunflower_layout.cache_clear()
+    monkeypatch.setattr(oracle, "sunflower_points", counted)
+    first = injectivity_scan(gallery_get("koebe"), n_points=500, r_max=0.9)
+    injectivity_scan(gallery_get("h0"), n_points=500, r_max=0.9)
+    again = injectivity_scan(gallery_get("koebe"), n_points=500.0, r_max=np.float64(0.9))
+    assert built == [(500, 0.9)]
+    assert again.to_dict() == first.to_dict()
+
+
+def test_explicit_points_skip_the_layout_cache(monkeypatch):
+    ordered = []
+
+    def counted(pts):
+        ordered.append(pts.size)
+        return order(pts)
+
+    order = oracle._run_order
+    monkeypatch.setattr(oracle, "_run_order", counted)
+    monkeypatch.setattr(oracle, "_sunflower_layout", mock.Mock(side_effect=AssertionError))
+    pts = sunflower_points(300, 0.8)
+    for _ in range(2):
+        rep = injectivity_scan(gallery_get("koebe"), points=pts)
+        assert rep.grid == {"kind": "explicit", "n": 300}
+    assert ordered == [300, 300]
+    assert pts.flags.writeable
+
+
+def test_layout_cache_stays_bounded():
+    identity = gallery_get("identity")
+    for n in range(50, 70):
+        injectivity_scan(identity, n_points=n, r_max=0.5)
+    info = oracle._sunflower_layout.cache_info()
+    assert 0 < info.currsize <= info.maxsize <= 8
+
+
+def test_threads_share_a_new_layout():
+    # Two scans at a size not yet built race to build and read its layout.
+    maps = [gallery_get("koebe"), gallery_get("h0")]
+    serial = [injectivity_scan(f, n_points=1500, r_max=0.9).to_dict() for f in maps]
+    for _ in range(3):
+        oracle._sunflower_layout.cache_clear()
+        start, reports = threading.Barrier(len(maps)), [None] * len(maps)
+
+        def scan(k):
+            start.wait()
+            reports[k] = injectivity_scan(maps[k], n_points=1500, r_max=0.9).to_dict()
+
+        threads = [threading.Thread(target=scan, args=(k,)) for k in range(len(maps))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert reports == serial
 
 
 # ---------------------------------------------------------------------------
