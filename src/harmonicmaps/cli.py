@@ -33,6 +33,7 @@ from .criteria import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
+    _worst_sample,
     check_corollary1,
     check_philike,
     check_theorem1,
@@ -222,7 +223,8 @@ def cmd_construct(args):
     result = build_map(f, pert, args.r, args.eps, alpha=args.alpha,
                        grid=grid, unsafe=args.unsafe)
     args.alpha = result.alpha_used  # the invocation records the order used
-    cert = float(np.min(_min_slack(result.F, grid.points())))
+    cert = _worst_sample("local univalence", grid, (result.F,),
+                         lambda z: _min_slack(result.F, z)).margin
     payload = {
         "label": result.F.label,
         "epsilon_used": result.epsilon_used,

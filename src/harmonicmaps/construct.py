@@ -25,11 +25,12 @@ to build anything.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .criteria import _worst_sample
 from .distortion import OrderParam, _coerce_alpha, c_of_r
 from .errors import BudgetExceededError, DomainError, InapplicableError
 from .mappings import (
@@ -122,11 +123,12 @@ def _min_slack(f: HarmonicMap, z):
 def estimate_m(f: HarmonicMap, r: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """Grid minimum of ``|h'| - |g'|`` over the closed disk ``|z| <= r``.
 
-    The coarse polar scan is refined by two local passes around the best
+    The coarse polar scan walks ``grid`` at radius ``r`` in blocks, as the
+    criterion scans do, and is refined by two local passes around the best
     point, each shrinking the sample spacing by a factor 4.  The result is an
     upper estimate of the true minimum (sampling can only miss lower values);
     a negative value means f is not sense-preserving on the disk and is
-    returned with a warning.
+    returned with a warning; NaN means some sample is not finite.
 
     Parameters
     ----------
@@ -135,15 +137,15 @@ def estimate_m(f: HarmonicMap, r: float, grid: GridSpec = DEFAULT_GRID) -> float
         Disk radius, ``0 <= r < f.domain_radius`` (r=0 degenerates to the
         center value).
     grid : GridSpec
-        Resolution reused on the smaller disk via its r_max override.
+        Resolution reused on the smaller disk, as ``replace(grid, r_max=r)``.
     """
     if not 0.0 <= r < f.domain_radius:
         raise DomainError(f"radius must lie in [0, {f.domain_radius:g}), got {r}")
-    pts = grid.points(r_max=r)
-    vals = np.asarray(_min_slack(f, pts), dtype=float)
-    k = int(np.argmin(vals))
-    best_z, best = pts[k], float(vals[k])
-    if r > 0.0:
+    if r == 0.0:
+        best = float(_min_slack(f, np.zeros(1, complex))[0])
+    else:
+        least = _worst_sample("m(r)", replace(grid, r_max=r), (f,), lambda z: _min_slack(f, z))
+        best_z, best = least.witness, least.margin
         d_rho = r / grid.n_radial
         d_ang = 2.0 * np.pi / grid.n_angular
         for level in (4.0, 16.0):
@@ -201,9 +203,9 @@ def budget_audit(f: HarmonicMap, phi: Perturbation, r: float,
     order = _coerce_alpha(alpha)
     m_r = estimate_m(f, r, grid)
     m_0 = estimate_m(f, 0.0, grid)
-    if min(m_r, m_0) <= 0.0:
-        raise InapplicableError("f is not sense-preserving on the disk of "
-                                f"radius {r:g}; no univalence budget exists")
+    if not (m_r > 0.0 and m_0 > 0.0):
+        raise InapplicableError("f is not sense-preserving, or |h'| - |g'| is not finite, "
+                                f"on the disk of radius {r:g}; no univalence budget exists")
     a_sup = estimate_A(phi)
     if a_sup <= 0.0:
         raise InapplicableError("perturbation has zero derivative sup; "

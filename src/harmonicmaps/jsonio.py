@@ -25,7 +25,7 @@ import numpy as np
 from .construct import Perturbation
 from .gallery import get as gallery_get
 from .herglotz import DiscreteMeasure, StructuralParams
-from .mappings import GridSpec, HarmonicMap, constant_function, from_series
+from .mappings import GridSpec, HarmonicMap, from_series
 
 SCHEMA_VERSION = 1
 
@@ -126,8 +126,6 @@ def _series_part(spec: dict, key: str, radius=1.0):
     coeffs = spec.get(key, [])
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError(f"'{key}' must be a list of coefficients, got {coeffs!r}")
-    if not coeffs:
-        return constant_function(0.0, "0")
     return from_series([pair_to_complex(c) for c in coeffs], radius=radius)
 
 

@@ -23,7 +23,7 @@ argument and a complex ndarray otherwise, element by element for a tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -233,7 +233,7 @@ class GridSpec:
     ``r_max * i/n_radial`` (i = 1..n_radial), the last exactly ``r_max``, and
     angles ``2*pi*j/n_angular``.
 
-    The criterion scans never build the whole grid: they walk it in blocks of
+    The criterion scans and ``construct.estimate_m`` walk the grid in blocks of
     ``criteria.GRID_BLOCK`` samples through :meth:`samples`, which multiplies
     out only the rings a block falls on, so their memory does not grow with
     the resolution.  The block is a multiple of Newton's seed-ranking block
@@ -263,16 +263,8 @@ class GridSpec:
         angles = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         return radii, np.exp(1j * angles)
 
-    def points(self, r_max=None) -> np.ndarray:
-        """All sample points, z=0 first, then radii-major order.
-
-        ``r_max`` overrides the stored outer radius (used when the same
-        resolution is reused on a smaller disk).
-        """
-        if r_max == 0.0:
-            return np.zeros(1, dtype=complex)
-        if r_max is not None and r_max != self.r_max:
-            return replace(self, r_max=r_max).points()
+    def points(self) -> np.ndarray:
+        """All sample points, z=0 first, then radii-major order."""
         return self.samples(0, self.size)
 
     def samples(self, start, stop) -> np.ndarray:

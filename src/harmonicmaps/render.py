@@ -48,14 +48,15 @@ _LEAD = np.zeros((2, 1000, 4), np.uint8)
 _LEAD[:, :, 1:] = np.where(np.arange(3) >= 3 - _NDIGITS[:, None], _DIGITS3, 0)
 _LEAD[1, np.arange(1000), 3 - _NDIGITS] = ord("-")
 _LEAD = _words(_LEAD)
-# A group of integer digits after the leading one: "\0ddd".
-_GROUP = _words(np.hstack((_NUL, _DIGITS3)))
 # The fraction's two halves: ".ddd", then "ddd " after an x and, from index
 # 1000, "ddd\0" after a y.
 _HIGH = _words(np.hstack((_NUL + ord("."), _DIGITS3)))
 _LOW = _words([np.hstack((_DIGITS3, _NUL + ord(" "))), np.hstack((_DIGITS3, _NUL))])
 # What follows a y: " L " within a path, "\n" at its end.
 _TAIL = _words(np.frombuffer(b" L \0\n\0\0\0", np.uint8))
+# The three words of a number that _fmt prints: a marker byte where its text
+# goes, NUL, then " " after an x (row 0) or NUL after a y (row 1).
+_SLOW = _words([[1, 0, 0, 0] + [0] * 4 + [ord(" "), 0, 0, 0], [1] + [0] * 11]).reshape(2, 3)
 
 
 def _fmt(x: float) -> str:
@@ -93,45 +94,35 @@ def _block_text(points, counts) -> list[str]:
     spacing of it.  Below ``2**52`` every half-integer is a double, so the
     product lies on ``t``'s side of each one unless ``t`` is one itself, and
     then both round alike.  The few numbers whose ``t`` is a half-integer or
-    at least ``2**52`` go through ``_fmt`` one at a time.
+    at least ``999_999_999`` (an integer part of 1000 or more after rounding)
+    go through ``_fmt`` one at a time, so every other one is a ``_LEAD`` word.
     """
     # x and y per point.  SVG's y axis points down; flip so the upper
     # half-plane renders on top.
     xy = points.view(np.float64).reshape(-1, 2) * (1.0, -1.0)
     t = np.abs(xy) * 1e6
-    slow = (t - np.floor(t) == 0.5) | (t >= 2.0 ** 52)
+    slow = (t - np.floor(t) == 0.5) | (t >= 999_999_999.0)
     q = np.rint(np.where(slow, 0.0, t)).astype(np.int64)
     ip = q // 1_000_000
     frac = q - ip * 1_000_000
     high = frac // 1000
     sign = ((xy < 0) & (q != 0)) * 1000  # "-0.000000" prints as "0.000000"
+    # A point is x then y, each as three words (integer part and the fraction's
+    # two halves), then the tail.  Its bytes without the NULs are its text.
+    words = np.empty((len(xy), 7), np.uint32)
+    num = words[:, :-1].reshape(len(xy), 2, 3)
+    num[..., 0] = _LEAD[ip + sign]
+    num[..., 1] = _HIGH[high]
+    num[..., 2] = _LOW[frac - high * 1000 + (0, 1000)]
     texts = [_fmt(x) for x in xy[slow].tolist()]
-    fast = -(-len(str(ip.max())) // 3)
-    groups = max([fast] + [-(-(len(s.lstrip("-")) - 7) // 3) for s in texts])
-    # A point is x then y, each as `groups` words of integer digits and two of
-    # fraction digits, then the tail.  Its bytes without the NULs are its text.
-    words = np.empty((len(xy), 2 * groups + 5), np.uint32)
-    num = words[:, :-1].reshape(len(xy), 2, groups + 2)
-    num[..., :groups - fast] = 0
-    for j in range(fast):  # the j-th group of integer digits from the right
-        part = ip // 1000 ** j if j else ip
-        low = part % 1000 if j < fast - 1 else part
-        word = _LEAD[low + sign]
-        if j:
-            word[part == 0] = 0
-        if j < fast - 1:
-            inner = part >= 1000
-            word[inner] = _GROUP[low[inner]]
-        num[..., groups - 1 - j] = word
-    num[..., groups] = _HIGH[high]
-    num[..., groups + 1] = _LOW[frac - high * 1000 + (0, 1000)]
+    if texts:
+        num[slow] = _SLOW[np.nonzero(slow)[1]]
     words[:, -1] = _TAIL[0]
     words[np.cumsum(counts) - 1, -1] = _TAIL[1]
-    if texts:
-        field = "".join(s.rjust(4 * groups + 7, "\0") + " \0"[k]
-                        for s, k in zip(texts, np.nonzero(slow)[1].tolist()))
-        num[slow] = np.frombuffer(field.encode("ascii"), np.uint32).reshape(len(texts), -1)
-    return words.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    if texts:  # each at its marker: xy's order is the text's
+        text = "".join(p + s for p, s in zip(text.split("\1"), texts + [""]))
+    return text.split("\n")[:-1]
 
 
 def _path(coords: str, stroke, width, dashed=False) -> str:

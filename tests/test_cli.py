@@ -370,6 +370,18 @@ def test_construct_negative_eps_is_input_error(capsys):
         assert "nonnegative" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("extra", [["bound"], ["construct", "--eps", "0.001"]],
+                         ids=["bound", "construct"])
+def test_budget_of_a_slack_that_is_not_finite_is_input_error(capsys, extra):
+    # h' and g' overflow to inf, so |h'| - |g'| is NaN: no budget, not a null one.
+    code, out, err = run_cli(capsys, [*extra, "--r", "0.5", "--spec",
+                                      '{"type":"series","h":[1,1e308],"g":[0.5,1e308]}'])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "|h'| - |g'| is not finite" in err
+
+
 # ---------------------------------------------------------------------------
 # herglotz
 

@@ -95,6 +95,19 @@ def test_estimate_m_rejects_bad_radius():
     assert estimate_m(h1, 0.99) > 0.0
 
 
+def test_estimate_m_refuses_a_rim_an_ulp_outside_the_domain():
+    # The scan's outer ring lies at |z| = r up to rounding.  One ulp below h1's
+    # radius a ring sample's |z| reads the radius itself, which the grid walk
+    # refuses as every criterion scan does; at the radius the radius check
+    # speaks first.
+    h1 = gallery_get("h1")
+    r = float(np.nextafter(h1.domain_radius, 0.0))
+    with pytest.raises(DomainError, match=r"^\|z\| = 0\.999 outside domain radius 0\.999$"):
+        estimate_m(h1, r)
+    with pytest.raises(DomainError, match=r"\[0, 0\.999\)"):
+        estimate_m(h1, h1.domain_radius)
+
+
 def test_estimate_A_closed_form_and_grid():
     assert estimate_A(conjugate_z_perturbation()) == 1.0
     both = Perturbation(p=identity_function(), q=identity_function())
@@ -184,6 +197,20 @@ def test_budget_rejects_degenerate_inputs():
     flat = Perturbation(p=constant_function(1.0), q=constant_function(2.0))
     with pytest.raises(InapplicableError):
         budget_audit(gallery_get("h0"), flat, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_budget_refuses_a_slack_that_is_not_finite():
+    # h' and g' overflow to inf, so |h'| - |g'| is inf - inf = NaN on the
+    # disk and at its centre, and no comparison with 0 holds.
+    f = HarmonicMap(h=from_series([1.0, 1e308]), g=from_series([0.5, 1e308]))
+    phi = conjugate_z_perturbation()
+    assert np.isnan(estimate_m(f, 0.5)) and np.isnan(estimate_m(f, 0.0))
+    for call in (lambda: budget_audit(f, phi, 0.5), lambda: epsilon_budget(f, phi, 0.5),
+                 lambda: construct(f, phi, 0.5, 1e6)):
+        with pytest.raises(InapplicableError, match="not finite"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from harmonicmaps import (
     DEFAULT_GRID,
     GridSpec,
     HarmonicMap,
+    budget_audit,
     check_corollary1,
     check_philike,
     check_theorem1,
     check_theoremA,
     check_theoremB,
+    conjugate_z_perturbation,
+    estimate_m,
     eval_map,
     from_series,
     gallery_get,
@@ -22,9 +27,10 @@ from harmonicmaps import (
     jacobian_positivity_scan,
     linear_wirtinger,
 )
-from harmonicmaps import criteria, herglotz
+from harmonicmaps import cli, criteria, herglotz
+from harmonicmaps.construct import _min_slack
 from harmonicmaps.errors import DomainError, InversionError
-from harmonicmaps.jsonio import dumps
+from harmonicmaps.jsonio import dumps, map_from_spec
 from harmonicmaps.mappings import AnalyticFunction
 
 GALLERY_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
@@ -71,13 +77,15 @@ def scans(f, grid):
 
 
 def outputs(thunks, monkeypatch, block):
-    """Each thunk's report as JSON, or its error's type and text, with GRID_BLOCK = block."""
+    """Each thunk's report or dictionary as JSON, or its error's type and text, with
+    GRID_BLOCK = block."""
     monkeypatch.setattr(criteria, "GRID_BLOCK", block)
     result = {}
     with np.errstate(all="ignore"):
         for name, thunk in thunks.items():
             try:
-                result[name] = dumps(thunk().to_dict())
+                value = thunk()
+                result[name] = dumps(value if isinstance(value, dict) else value.to_dict())
             except Exception as exc:  # the error must be the same at every block size
                 result[name] = f"{type(exc).__name__}: {exc}"
     return result
@@ -280,3 +288,98 @@ def test_grid_scans_keep_memory_per_sample_bounded():
             assert traced_peak(lambda: scan(grid)) < 3e6, (name, grid)
         for name, (scan, bound) in per_sample.items():
             assert traced_peak(lambda: scan(grid)) / grid.size < bound, (name, grid)
+
+
+def full_grid_m(f, r, grid):
+    """``estimate_m`` as one reduction over the whole grid at radius r: the first
+    least sample by ``np.argmin``, then the same two local passes."""
+    pts = replace(grid, r_max=r).points() if r else np.zeros(1, complex)
+    vals = np.asarray(_min_slack(f, pts), dtype=float)
+    k = int(np.argmin(vals))
+    best_z, best = pts[k], float(vals[k])
+    if r > 0.0:
+        d_rho = r / grid.n_radial
+        d_ang = 2.0 * np.pi / grid.n_angular
+        for level in (4.0, 16.0):
+            rho0, ang0 = np.abs(best_z), np.angle(best_z)
+            offs = np.arange(-2, 3)
+            rho = np.clip(rho0 + offs * d_rho / level, 0.0, r)
+            ang = ang0 + offs * d_ang / level
+            local = (rho[:, None] * np.exp(1j * ang[None, :])).ravel()
+            lv = np.asarray(_min_slack(f, local), dtype=float)
+            j = int(np.argmin(lv))
+            if lv[j] < best:
+                best, best_z = float(lv[j]), local[j]
+    return best
+
+
+def budget_specs():
+    """Function specs of the gallery, and of random cubic maps of which some are not
+    sense-preserving."""
+    rng = np.random.default_rng(30)
+    specs = {name: {"type": "named", "name": name, "params": GALLERY_PARAMS.get(name, {})}
+             for name in GALLERY}
+    for i in range(6):
+        scale = 0.2 + 0.2 * i
+        a = scale * rng.standard_normal((2, 2)) / 2.0
+        b = scale * rng.standard_normal((3, 2)) / 4.0
+        specs[f"cubic {i}"] = {"type": "series", "h": [1.0, *a.tolist()], "g": b.tolist()}
+    # h' and g' overflow to inf, so |h'| - |g'| is NaN from the origin on.
+    specs["overflow"] = {"type": "series", "h": [1.0, 1e308], "g": [0.5, 1e308]}
+    return specs
+
+
+def test_estimate_m_matches_the_full_grid_reduction_bit_for_bit():
+    for name, spec in budget_specs().items():
+        with np.errstate(all="ignore"):
+            f = map_from_spec(spec)
+        for grid in (*ODD_GRIDS, GridSpec(160, 384, 0.9)):
+            for r in (0.0, 0.3, 0.5, 0.9, 0.95):
+                with warnings.catch_warnings(record=True) as got, np.errstate(all="ignore"):
+                    warnings.simplefilter("always")
+                    value = estimate_m(f, r, grid)
+                    expect = full_grid_m(f, r, grid)
+                assert np.float64(value).tobytes() == np.float64(expect).tobytes(), (name, grid, r)
+                # the warning of a map that is not sense-preserving, and only then
+                assert [str(w.message) for w in got] == (
+                    [f"map '{f.label or 'f'}' is not sense-preserving on |z| <= {r:g} "
+                     f"(min |h'|-|g'| = {expect:.3e})"] if expect < 0.0 else [])
+
+
+def construct_output(capsys, spec, grid):
+    """The CLI ``construct`` of spec at r 0.5 and eps 0 on grid: exit code, stdout, stderr."""
+    code = cli.main(["construct", "--spec", json.dumps(spec), "--r", "0.5", "--eps", "0",
+                     "--n-radial", str(grid.n_radial), "--n-angular", str(grid.n_angular),
+                     "--r-max", str(grid.r_max)])
+    captured = capsys.readouterr()
+    return {"exit": code, "out": captured.out, "err": captured.err}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_budget_and_construct_bit_for_bit_at_every_block_size(monkeypatch, capsys):
+    phi = conjugate_z_perturbation()
+    thunks = {}
+    for name, spec in budget_specs().items():
+        with np.errstate(all="ignore"):
+            f = map_from_spec(spec)
+        for grid in ODD_GRIDS:
+            label = f"{name} {grid.n_radial}x{grid.n_angular}"
+            thunks[f"{label} budget"] = lambda f=f, grid=grid: budget_audit(f, phi, 0.5, grid=grid)
+            thunks[f"{label} construct"] = lambda spec=spec, grid=grid: construct_output(
+                capsys, spec, grid)
+    out = assert_same_at_every_block(thunks, monkeypatch)
+    refused = [name for name, text in out.items() if text.startswith("InapplicableError")]
+    built = [name for name, text in out.items() if '"exit": 0' in text]
+    assert "overflow 37x53 budget" in refused and len(refused) >= 4 and len(built) >= 20
+
+
+def test_budget_and_construct_keep_memory_flat(capsys):
+    # Traced peaks before m(r) and the certificate walked the grid in blocks:
+    # 11.8 MB (h0) and 13.8 MB (f_k) for budget_audit, 17.7 MB for construct.
+    grid = GridSpec(320, 768, 0.95)
+    phi = conjugate_z_perturbation()
+    for name in ("h0", "f_k"):
+        f = gallery_map(name)
+        assert traced_peak(lambda: budget_audit(f, phi, 0.5, grid=grid)) < 1e6, name
+    spec = {"type": "named", "name": "f_k", "params": GALLERY_PARAMS["f_k"]}
+    assert traced_peak(lambda: construct_output(capsys, spec, grid)) < 1e6

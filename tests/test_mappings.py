@@ -286,13 +286,6 @@ def test_grid_reaches_r_max_exactly(grid):
     assert radii[-1] == grid.r_max
 
 
-def test_grid_r_max_override():
-    grid = GridSpec(n_radial=5, n_angular=8, r_max=0.9)
-    pts = grid.points(r_max=0.3)
-    assert np.max(np.abs(pts)) <= 0.3 + 1e-15
-    assert grid.points(r_max=0.0).tolist() == [0j]
-
-
 @pytest.mark.parametrize("kwargs", [
     {"n_radial": 0}, {"n_angular": 0}, {"r_max": 0.0}, {"r_max": 1.0},
 ])

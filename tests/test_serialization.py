@@ -187,7 +187,16 @@ def test_path_formats_every_number_as_one_at_a_time():
 def test_path_data_matches_the_per_number_reference_bit_for_bit():
     rng = np.random.default_rng(28)
     edge = 2.0 ** 52 / 1e6  # from here on |x| * 1e6 has no fraction bits
+    # Within a few ulps of where the integer part reaches four digits, and
+    # numbers of four to 301 integer digits; first, so their block also holds
+    # ordinary numbers and half-integers.
+    near_1000 = np.array([999.999999, 999.9999985, 999.9999995, 1000.0])
+    wide = np.concatenate([
+        (near_1000[:, None] + np.arange(-4, 5) * np.spacing(near_1000)[:, None]).ravel(),
+        [1000.0000005, 9999.9999995], 10.0 ** np.arange(3, 301),
+    ])
     values = np.concatenate([
+        wide,
         [0.0, 4e-7, 5e-7, 0.0078125, 999.9999995, 4230.0000005, 1e12, 1e300],
         (np.arange(-20_000, 20_001) + 0.5) * 1e-6,
         edge * (1.0 + np.arange(-40, 41) * 2.0 ** -45),
@@ -200,6 +209,10 @@ def test_path_data_matches_the_per_number_reference_bit_for_bit():
     counts = list(range(1, 600))
     counts.append(len(points) - sum(counts))
     curves = np.split(points, np.cumsum(counts)[:-1])
+    # A curve in which every number goes through "%.6f" one at a time.
+    slow = np.concatenate((wide, (np.arange(-50, 50) + 0.5) * 1e-6))
+    slow = np.concatenate((slow, -slow))
+    curves.append(slow + 1j * rng.permutation(slow))
     assert len(points) > 10 * _BLOCK
     assert _path_data(curves) == [_per_vertex_coords(c) for c in curves]
 
