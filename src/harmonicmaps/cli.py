@@ -389,8 +389,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0,) else 0
     # The one input-error boundary: every ValueError or package error raised
     # on the way from the command line to a report is bad input, exit 2.
+    # NumPy's floating-point warnings are off: every report already reads a
+    # value that is not finite (inconclusive, refused, or null).
     try:
-        result = args.func(args)
+        with np.errstate(all="ignore"):
+            result = args.func(args)
         if isinstance(result, int):  # render writes its own output
             return result
         payload, keys, code = result

@@ -12,7 +12,8 @@ stays univalent on the disk whenever
 with ``m(rho) = min_{|z| <= rho} (|h'| - |g'|)``, ``A = sup_D (|p'| + |q'|)``
 and ``C(r)`` the distortion constant from :mod:`harmonicmaps.distortion`.
 This module estimates the two quantities on grids, computes the budget, and
-builds ``F`` with the audit attached.  The affine renormalization of a map
+builds ``F`` with the audit attached; both estimates walk their grid in
+blocks, as the criterion scans do.  The affine renormalization of a map
 into the standard family ``h(0) = g(0) = 0``, ``h'(0) = 1``, ``g'(0) = 0``,
 and its inverse, live here too.
 
@@ -176,12 +177,13 @@ def estimate_A(phi: Perturbation) -> float:
     InapplicableError
         If the derivative sum is non-finite near the boundary (A = infinity;
         the perturbation theorem gives nothing).
+    DomainError
+        If :data:`A_GRID` leaves the declared domain of p or q.
     """
-    pts = A_GRID.points()
-    vals = np.abs(phi.p.deriv(pts)) + np.abs(phi.q.deriv(pts))
-    if not np.all(np.isfinite(vals)):
+    a_grid = -_worst_sample("A", A_GRID, (phi.p, phi.q),
+                            lambda z: -(np.abs(phi.p.deriv(z)) + np.abs(phi.q.deriv(z)))).margin
+    if np.isnan(a_grid):
         raise InapplicableError("|p'| + |q'| is not finite near the boundary")
-    a_grid = float(np.max(vals))
     if phi.A_closed_form is not None:
         if a_grid > phi.A_closed_form * (1.0 + 1e-9):
             raise ValueError(f"claimed sup {phi.A_closed_form} is below the "

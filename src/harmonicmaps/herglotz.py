@@ -12,7 +12,8 @@ composition with ``f`` has derivative of positive real part:
 
 with ``c > 0``, ``c1`` real, ``c0`` complex.  Differentiating the composition
 gives the identity ``d/dz phi(f(z)) = c*p(z) - i*c*c1``, which
-:func:`verify_structural_identity` checks by central finite differences.
+:func:`verify_structural_identity` checks by central finite differences,
+walking the grid in blocks as the criterion scans do.
 
 Also here: the numerical inverse of a harmonic map (damped Newton on the
 two-real-variable system, seeded from a fixed cloud ranked relative to
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import _worst_sample
 from .errors import DomainError, InversionError, SingularDerivativeError
 from .mappings import (
     AnalyticFunction,
@@ -161,17 +163,26 @@ def verify_structural_identity(f: AnalyticFunction, mu: DiscreteMeasure,
     map, with the inverse computed by Newton iteration; the right side is the
     kernel sum.  For valid inputs the deviation is at the finite-difference
     noise floor (well under 1e-5).
+
+    The grid is walked in blocks, as the criterion scans walk it, after a
+    DomainError for any sample outside f's domain.  The result is NaN if any
+    sample's deviation is not finite.  Each block inverts its upper side,
+    then its lower side; a failed inversion names, over all blocks, the
+    target that misses its bound by the largest factor.
     """
     fh = HarmonicMap.from_analytic(f)
-    pts = grid.points()
     # Tight inversion bound |f(z) - w| <= 1e-14 * max(s, |w|): the error of
     # the inverse is amplified by 1/(2*FD_STEP) in the difference quotient.
     f_inv = lambda w: invert(fh, w, tol=1e-14)
-    upper = build_phi(f_inv, mu, params, f.eval(pts + FD_STEP))
-    lower = build_phi(f_inv, mu, params, f.eval(pts - FD_STEP))
-    lhs = (upper - lower) / (2.0 * FD_STEP)
-    rhs = params.c * herglotz_p(mu, pts) - 1j * params.c * params.c1
-    return float(np.max(np.abs(lhs - rhs)))
+
+    def deviation(pts):
+        upper = build_phi(f_inv, mu, params, f.eval(pts + FD_STEP))
+        lower = build_phi(f_inv, mu, params, f.eval(pts - FD_STEP))
+        lhs = (upper - lower) / (2.0 * FD_STEP)
+        rhs = params.c * herglotz_p(mu, pts) - 1j * params.c * params.c1
+        return -np.abs(lhs - rhs)
+
+    return -_worst_sample("structural identity", grid, (f,), deviation).margin
 
 
 def big_phi_function(f: AnalyticFunction, phi_prime, gamma: float) -> AnalyticFunction:

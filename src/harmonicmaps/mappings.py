@@ -233,7 +233,8 @@ class GridSpec:
     ``r_max * i/n_radial`` (i = 1..n_radial), the last exactly ``r_max``, and
     angles ``2*pi*j/n_angular``.
 
-    The criterion scans and ``construct.estimate_m`` walk the grid in blocks of
+    The criterion scans, ``construct``'s estimates of m and A and
+    ``herglotz.verify_structural_identity`` walk the grid in blocks of
     ``criteria.GRID_BLOCK`` samples through :meth:`samples`, which multiplies
     out only the rings a block falls on, so their memory does not grow with
     the resolution.  The block is a multiple of Newton's seed-ranking block

@@ -370,16 +370,16 @@ def test_construct_negative_eps_is_input_error(capsys):
         assert "nonnegative" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("extra", [["bound"], ["construct", "--eps", "0.001"]],
                          ids=["bound", "construct"])
 def test_budget_of_a_slack_that_is_not_finite_is_input_error(capsys, extra):
     # h' and g' overflow to inf, so |h'| - |g'| is NaN: no budget, not a null one.
+    # NumPy's overflow warnings stay quiet, so the error line is all of stderr.
     code, out, err = run_cli(capsys, [*extra, "--r", "0.5", "--spec",
                                       '{"type":"series","h":[1,1e308],"g":[0.5,1e308]}'])
     assert (code, out) == (EXIT_INPUT, "")
-    assert "|h'| - |g'| is not finite" in err
+    assert err == ("error: f is not sense-preserving, or |h'| - |g'| is not finite, "
+                   "on the disk of radius 0.5; no univalence budget exists\n")
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +430,17 @@ def test_herglotz_nonstandard_params(capsys):
     assert payload["params"]["c"] == 2.0
     assert payload["params"]["c1"] == -0.5
     assert payload["params"]["c0"] == [1.0, 0.25]
+
+
+def test_herglotz_refuses_samples_outside_the_domain(capsys):
+    # h1's domain radius is 0.999: the identity is refused with the text the
+    # criterion scans give on the same grid, before Newton values h1 outside it.
+    grid = ["--named", "h1", "--r-max", "0.9995"]
+    code, out, err = run_cli(capsys, ["herglotz", *grid, "--measure", '{"atoms": [[0.0, 1.0]]}'])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: |z| = 0.9995 outside domain radius 0.999\n"
+    report = run_json(capsys, ["check", *grid, "--criterion", "corollary1"], EXIT_INPUT)
+    assert err == f"error: {report['meta']['failure']}\n"
 
 
 def test_herglotz_rejects_deficient_measure(capsys):
@@ -491,14 +502,13 @@ def test_render_rejects_rho_outside_domain(capsys):
     assert "error:" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_render_refuses_a_non_finite_image(capsys, tmp_path):
     out = tmp_path / "x.svg"
     spec = json.dumps({"type": "series", "h": [1e308, 1e308, 1e308]})
     code, stdout, err = run_cli(capsys, ["render", "--spec", spec, "--out", str(out)])
     assert code == EXIT_INPUT
     assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "is not finite" in err
     assert not out.exists()
 

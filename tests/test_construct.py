@@ -147,6 +147,15 @@ def test_estimate_A_unbounded_perturbation():
         estimate_A(blowup)
 
 
+def test_estimate_A_refuses_samples_outside_the_perturbation_domain():
+    # p is declared on |z| < 0.5 only, and A_GRID reaches |z| = 0.995.
+    phi = Perturbation(p=from_series([0.0, 1.0], radius=0.5), q=identity_function())
+    with pytest.raises(DomainError, match=r"^\|z\| = 0\.995 outside domain radius 0\.5$"):
+        estimate_A(phi)
+    with pytest.raises(DomainError, match="outside domain radius 0.5"):
+        construct(gallery_get("h0"), phi, 0.5, 1e-4)
+
+
 # ---------------------------------------------------------------------------
 # the budget
 

@@ -10,8 +10,11 @@ import pytest
 
 from harmonicmaps import (
     DEFAULT_GRID,
+    DiscreteMeasure,
     GridSpec,
     HarmonicMap,
+    Perturbation,
+    StructuralParams,
     budget_audit,
     check_corollary1,
     check_philike,
@@ -19,6 +22,7 @@ from harmonicmaps import (
     check_theoremA,
     check_theoremB,
     conjugate_z_perturbation,
+    estimate_A,
     estimate_m,
     eval_map,
     from_series,
@@ -26,12 +30,13 @@ from harmonicmaps import (
     inverse_wirtinger,
     jacobian_positivity_scan,
     linear_wirtinger,
+    verify_structural_identity,
 )
 from harmonicmaps import cli, criteria, herglotz
-from harmonicmaps.construct import _min_slack
-from harmonicmaps.errors import DomainError, InversionError
+from harmonicmaps.construct import A_GRID, _min_slack
+from harmonicmaps.errors import DomainError, InapplicableError, InversionError
 from harmonicmaps.jsonio import dumps, map_from_spec
-from harmonicmaps.mappings import AnalyticFunction
+from harmonicmaps.mappings import FD_STEP, AnalyticFunction
 
 GALLERY_PARAMS = {"f_k": {"k": 0.5}, "h_r": {"r": 0.5},
                   "F_eps": {"r": 0.5, "eps": 0.01}, "f_eps": {"r": 0.5, "eps": 0.01}}
@@ -383,3 +388,122 @@ def test_budget_and_construct_keep_memory_flat(capsys):
         assert traced_peak(lambda: budget_audit(f, phi, 0.5, grid=grid)) < 1e6, name
     spec = {"type": "named", "name": "f_k", "params": GALLERY_PARAMS["f_k"]}
     assert traced_peak(lambda: construct_output(capsys, spec, grid)) < 1e6
+
+
+def full_grid_identity(f, mu, params, grid):
+    """``verify_structural_identity`` as one reduction over the whole grid: the upper
+    side inverted over every sample, then the lower side, then ``np.max``."""
+    fh = HarmonicMap.from_analytic(f)
+    pts = grid.points()
+    f_inv = lambda w: herglotz.invert(fh, w, tol=1e-14)
+    upper = herglotz.build_phi(f_inv, mu, params, f.eval(pts + FD_STEP))
+    lower = herglotz.build_phi(f_inv, mu, params, f.eval(pts - FD_STEP))
+    lhs = (upper - lower) / (2.0 * FD_STEP)
+    rhs = params.c * herglotz.herglotz_p(mu, pts) - 1j * params.c * params.c1
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def identity_cases():
+    """Analytic gallery maps with random three-atom measures and constants, on odd
+    grids and 160x384, and constants so large that the deviation is not finite."""
+    rng = np.random.default_rng(31)
+    cases = {}
+    for name in ("identity", "cayley", "koebe", "h0"):
+        for grid in (*ODD_GRIDS, GridSpec(160, 384, 0.9)):
+            thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+            weights = rng.uniform(0.2, 1.0, 3)
+            mu = DiscreteMeasure(tuple(zip(thetas, weights / weights.sum())))
+            params = StructuralParams(c=rng.uniform(0.5, 2.0), c1=rng.standard_normal(),
+                                      c0=complex(*rng.standard_normal(2)))
+            cases[f"{name} {grid.n_radial}x{grid.n_angular}"] = (gallery_map(name).h, mu,
+                                                                 params, grid)
+    cases["overflow"] = (gallery_map("koebe").h, DiscreteMeasure.point_mass(0.0),
+                         StructuralParams(c=1e308), ODD_GRIDS[0])
+    return cases
+
+
+def test_structural_identity_matches_the_full_grid_reduction_bit_for_bit(monkeypatch):
+    nonfinite = 0
+    for label, (f, mu, params, grid) in identity_cases().items():
+        with np.errstate(all="ignore"):
+            expect = full_grid_identity(f, mu, params, grid)
+        nonfinite += not np.isfinite(expect)
+        for block in BLOCKS:
+            monkeypatch.setattr(criteria, "GRID_BLOCK", block)
+            with np.errstate(all="ignore"):
+                value = verify_structural_identity(f, mu, params, grid)
+            if np.isfinite(expect):
+                assert np.float64(value).tobytes() == np.float64(expect).tobytes(), (label, block)
+            else:  # NaN where any sample is not finite
+                assert np.isnan(value), (label, block)
+    assert nonfinite == 1
+
+
+def test_structural_identity_failure_texts_bit_for_bit_at_every_block_size(monkeypatch):
+    # Newton fails inverting koebe and h1 near the rim; each block inverts its
+    # upper side first, and across blocks the worst miss of its bound is named.
+    mu = DiscreteMeasure.point_mass(0.0)
+    params = StructuralParams()
+    texts = set()
+    for name in ("koebe", "h1"):
+        f = gallery_map(name).h
+        for grid in (GridSpec(40, 96, 0.97), GridSpec(40, 96, 0.99),
+                     GridSpec(160, 384, 0.97), GridSpec(160, 384, 0.99)):
+            with pytest.raises(InversionError) as whole:
+                full_grid_identity(f, mu, params, grid)
+            texts.add(str(whole.value))
+            for block in BLOCKS:
+                monkeypatch.setattr(criteria, "GRID_BLOCK", block)
+                with pytest.raises(InversionError) as walked:
+                    verify_structural_identity(f, mu, params, grid)
+                assert str(walked.value) == str(whole.value), (name, grid, block)
+    assert len(texts) == 6
+
+
+def test_structural_identity_keeps_memory_flat():
+    # The whole-grid reduction held about 340 bytes per sample: 72-80 MB here.
+    mu = DiscreteMeasure(((0.0, 0.5), (1.0, 0.3), (4.0, 0.2)))
+    grid = GridSpec(320, 768, 0.9)
+    assert traced_peak(lambda: verify_structural_identity(
+        gallery_map("koebe").h, mu, StructuralParams(), grid)) < 2e6
+
+
+def full_grid_A(phi):
+    """The grid maximum of ``estimate_A`` as one reduction over the whole of A_GRID."""
+    pts = A_GRID.points()
+    vals = np.abs(phi.p.deriv(pts)) + np.abs(phi.q.deriv(pts))
+    if not np.all(np.isfinite(vals)):
+        raise InapplicableError("|p'| + |q'| is not finite near the boundary")
+    return float(np.max(vals))
+
+
+def test_estimate_A_matches_the_full_grid_reduction_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    perturbations = {name: Perturbation(p=gallery_map(name).h, q=gallery_map(name).g)
+                     for name in GALLERY
+                     if gallery_map(name).domain_radius > A_GRID.r_max}
+    for i in range(8):
+        p, q = rng.standard_normal((2, 2 + i, 2)) @ [1.0, 1j] / (2.0 + i)
+        perturbations[f"series {i}"] = Perturbation(p=from_series(p), q=from_series(q))
+    # p' overflows to inf, and to NaN where it meets a zero.
+    with np.errstate(all="ignore"):
+        perturbations["overflow"] = Perturbation(p=from_series([1.0, 1e308, 1e308]),
+                                                 q=from_series([0.5]))
+    values = {}
+    for name, phi in perturbations.items():
+        with np.errstate(all="ignore"):
+            try:
+                expect = np.float64(full_grid_A(phi)).tobytes()
+            except InapplicableError as exc:
+                expect = str(exc)
+        values[name] = expect
+        for block in BLOCKS:
+            monkeypatch.setattr(criteria, "GRID_BLOCK", block)
+            with np.errstate(all="ignore"):
+                try:
+                    value = np.float64(estimate_A(phi)).tobytes()
+                except InapplicableError as exc:
+                    value = str(exc)
+            assert value == expect, (name, block)
+    assert values["overflow"] == "|p'| + |q'| is not finite near the boundary"
+    assert len(perturbations) >= 15

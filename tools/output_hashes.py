@@ -8,10 +8,13 @@ For each seed and each workload it builds the job list with ``bench/run.py``
 of the checkout at ROOT and runs every job once with the runners of its
 ``bench/worker.py``, against the library in ``ROOT/src``.  It then runs each
 demo in ``ROOT/demos`` in a fresh directory and hashes its stdout and every
-SVG it writes.  Each line reads ``<sha256>  <label>``; a job that raises
-prints ``error`` and the exception in place of the hash, and the exit code
-is then 1.  Two checkouts give the same outputs iff their listings are
-equal, so compare them with ``diff``.
+SVG it writes.  Last it runs a few CLI calls that the benchmark does not
+make (inversion failures, inputs outside a domain, an overflowing series)
+and hashes each one's exit code, stdout and stderr, with the checkout's
+path in stderr read as ``ROOT``.  Each line reads ``<sha256>  <label>``; a
+job that raises prints ``error`` and the exception in place of the hash,
+and the exit code is then 1.  Two checkouts give the same outputs iff their
+listings are equal, so compare them with ``diff``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,34 @@ def demo_hashes(root: Path):
                 yield f"demo {demo.name} {svg.relative_to(tmp)}", _digest(svg.read_bytes())
 
 
+POINT_MASS = '{"atoms": [[0.0, 1.0]]}'
+# Calls off the benchmark's paths: a grid of several blocks, Newton failures
+# near the rim, a grid outside h1's domain and a series whose h' overflows.
+CLI_CALLS = {
+    "herglotz koebe 160x384": ["herglotz", "--named", "koebe", "--n-radial", "160",
+                               "--n-angular", "384", "--measure", POINT_MASS],
+    "herglotz koebe r_max 0.99": ["herglotz", "--named", "koebe", "--r-max", "0.99",
+                                  "--measure", POINT_MASS],
+    "check corollary1 koebe r_max 0.97": ["check", "--criterion", "corollary1",
+                                          "--named", "koebe", "--r-max", "0.97"],
+    "herglotz h1 r_max 0.9995": ["herglotz", "--named", "h1", "--r-max", "0.9995",
+                                 "--measure", POINT_MASS],
+    "bound overflow": ["bound", "--spec", '{"type":"series","h":[1,1e308],"g":[0.5,1e308]}',
+                       "--r", "0.5"],
+}
+
+
+def cli_hashes(root: Path):
+    """Yield ``(label, sha256)`` of each CLI call's exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for label, args in CLI_CALLS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, "-m", "harmonicmaps", *args], cwd=tmp,
+                                  env=env, capture_output=True)
+        err = proc.stderr.replace(str(root).encode(), b"ROOT")
+        yield f"cli {label}", _digest(b"%d\n%b\n%b" % (proc.returncode, proc.stdout, err))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("root", type=Path, help="checkout whose outputs are hashed")
@@ -74,7 +105,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     root = args.root.resolve()
     failed = False
-    for label, digest in itertools.chain(job_hashes(root, args.seeds), demo_hashes(root)):
+    hashes = itertools.chain(job_hashes(root, args.seeds), demo_hashes(root), cli_hashes(root))
+    for label, digest in hashes:
         failed |= digest.startswith("error")
         print(f"{digest}  {label}", flush=True)
     return 1 if failed else 0
