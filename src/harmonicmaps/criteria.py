@@ -46,6 +46,7 @@ from .mappings import (
     DEFAULT_GRID,
     _check_domain,
     _vanishes,
+    _whole_count,
     composed_wirtinger,
 )
 
@@ -415,8 +416,7 @@ def check_theorem1(f: HarmonicMap, phi: WirtingerFunction,
     witness is the last sample whose argument, among the worst direction's own
     arguments at every sample, opens its gap.
     """
-    if n_epsilon < 4:
-        raise ValueError("need at least 4 unimodular directions")
+    n_epsilon = _whole_count(n_epsilon, 4, "need at least 4 unimodular directions")
     blocks = []
     if (fail := _composed_partials("theorem1", f, phi, grid,
                                    lambda start, z, zb: blocks.append((z, zb)))) is not None:
@@ -524,8 +524,7 @@ def _rotation_search(criterion, f, G, grid, n_gamma, meta):
     tested for vanishing as the blocks come, and the passes after the coarse
     scan work in its scratch.
     """
-    if n_gamma < 8:
-        raise ValueError("need at least 8 rotation candidates")
+    n_gamma = _whole_count(n_gamma, 8, "need at least 8 rotation candidates")
     if (fail := _domain_report(criterion, (f,) if G is None else (f, G), grid)) is not None:
         return fail
     n = grid.size

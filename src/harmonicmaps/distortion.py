@@ -25,7 +25,7 @@ import numpy as np
 
 from .criteria import VERDICT_HOLDS, VERDICT_VIOLATED, CheckReport, _nonfinite_report
 from .errors import DomainError
-from .mappings import HarmonicMap, eval_map
+from .mappings import HarmonicMap, _whole_count, eval_map
 from .oracle import _ratio_min
 
 
@@ -174,12 +174,11 @@ def check_pairwise_bound(f: HarmonicMap, r: float, alpha=3.0, n: int = 128) -> C
     alpha : float or OrderParam
         Valence order used for ``C(r)``.
     n : int
-        Number of circle points, at least 8.
+        Number of circle points, a whole number of at least 8.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0, 1), got {r}")
-    if n < 8:
-        raise ValueError("need at least 8 circle points")
+    n = _whole_count(n, 8, "need at least 8 circle points")
     a = _coerce_alpha(alpha).alpha
     grid = {"kind": "circle", "r": r, "n": n}
     pts = r * np.exp(2j * np.pi * np.arange(n) / n)

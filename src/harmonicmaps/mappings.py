@@ -47,6 +47,20 @@ def _vanishes(values, scale):
     return k if size[k] <= SINGULAR_TOL * scale.max(where=scale < np.inf, initial=0.0) else None
 
 
+def _whole_count(n, least, message):
+    """``n`` as an int: a count of samples, directions or angles of at least ``least``.
+
+    A whole float such as ``64.0`` counts as its int.  A count below ``least``
+    raises ValueError with ``message``, and so does any value that is not a
+    whole number, such as ``60.5``, NaN or inf, which counts nothing.
+    """
+    if not float(n).is_integer():
+        raise ValueError(f"{message} (a whole number), got {n}")
+    if n < least:
+        raise ValueError(message)
+    return int(n)
+
+
 def _array_kernel(kernel):
     """Hand ``kernel`` complex ndarrays; return ``complex`` for a scalar first argument."""
     def call(z, *rest):
@@ -233,7 +247,11 @@ class GridSpec:
     ``r_max * i/n_radial`` (i = 1..n_radial), the last exactly ``r_max``, and
     angles ``2*pi*j/n_angular``.
 
-    The criterion scans, ``construct``'s estimates of m and A and
+    Both counts are whole numbers of at least 1 (a whole float is taken as
+    its int; ValueError otherwise).
+
+    The criterion scans, ``oracle.jacobian_positivity_scan``, ``construct``'s
+    estimates of m and A, the certificate of the CLI's ``construct`` and
     ``herglotz.verify_structural_identity`` walk the grid in blocks of
     ``criteria.GRID_BLOCK`` samples through :meth:`samples`, which multiplies
     out only the rings a block falls on, so their memory does not grow with
@@ -247,8 +265,10 @@ class GridSpec:
     r_max: float = 0.95
 
     def __post_init__(self):
-        if self.n_radial < 1 or self.n_angular < 1:
-            raise ValueError("grid needs at least one radial and one angular sample")
+        for name in ("n_radial", "n_angular"):
+            count = _whole_count(getattr(self, name), 1,
+                                 "grid needs at least one radial and one angular sample")
+            object.__setattr__(self, name, count)
         if not 0.0 < self.r_max < 1.0:
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
 

@@ -8,8 +8,9 @@ oracles attack the conclusion directly at fixed resolution:
   shared read-only (:func:`_sunflower_layout`),
 * :func:`jacobian_positivity_scan` -- local sense-preservation on a grid,
 * :func:`curve_simplicity` -- does the image of a circle self-intersect?
-  (polyline segment-pair test with orientation predicates, plus the winding
-  number of the image curve about its centroid).
+  (an exact segment-pair test, :func:`_segment_distance`, which reads each
+  segment end against the other segment once for both its side and its
+  distance, plus the winding number of the image curve about its centroid).
 
 Verdicts are evidence at the recorded resolution, nothing more.  The pair
 scans (and :func:`distortion.check_pairwise_bound`) share one exact kernel,
@@ -44,7 +45,7 @@ from .criteria import (
     _nonfinite_report,
     _worst_sample,
 )
-from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, eval_map, jacobian
+from .mappings import GridSpec, HarmonicMap, DEFAULT_GRID, _whole_count, eval_map, jacobian
 
 # Collinearity slack for the normalized orientation predicate.
 ORIENT_SLACK = 1e-12
@@ -67,11 +68,10 @@ def _sunflower_size(n, r_max):
     Raises ValueError for any other count or radius, such as ``60.5`` points
     or a radius of 0, -0.5 or NaN, none of which makes a sample of that size.
     """
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"need a whole number of at least one point, got {n}")
+    n = _whole_count(n, 1, "need at least one point")
     if not 0.0 < r_max < np.inf:
         raise ValueError(f"r_max must be finite and positive, got {r_max}")
-    return int(n), float(r_max)
+    return n, float(r_max)
 
 
 def sunflower_points(n: int, r_max: float = 0.95) -> np.ndarray:
@@ -376,8 +376,7 @@ def injectivity_scan(f: HarmonicMap, n_points: int = 400, r_max: float = 0.95,
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if points is None:
-        if n_points < 50:
-            raise ValueError("need at least 50 sample points")
+        n_points = _whole_count(n_points, 50, "need at least 50 sample points")
         n_points, r_max = _sunflower_size(n_points, r_max)
         pts, order = _sunflower_layout(n_points, r_max)
         layout = {"kind": "sunflower", "n": n_points, "r_max": r_max}
@@ -410,13 +409,32 @@ def jacobian_positivity_scan(f: HarmonicMap, grid: GridSpec = DEFAULT_GRID) -> C
     return _worst_sample("jacobian-positivity", grid, (f,), lambda pts: jacobian(f, pts))
 
 
-def _point_segment_distance(p, a, b):
-    """Distance from points p to segments [a, b] (all arrays, elementwise)."""
-    u = b - a
-    denom = np.maximum(np.abs(u) ** 2, 1e-300)
-    # t clipped to [0, 1]; two ufuncs cost less than np.clip's wrapper.
-    t = np.minimum(np.maximum(np.real(np.conj(u) * (p - a)) / denom, 0.0), 1.0)
-    return np.abs(p - (a + t * u))
+def _segment_distance(a1, b1, a2, b2):
+    """Distance between segments [a1, b1] and [a2, b2] (arrays, elementwise),
+    0 for a proper crossing.
+
+    For each end p of one segment against the other, [a, b], it forms
+    ``c = conj(b - a) * (p - a)`` once: ``imag(c)`` over ``|b - a| |p - a|``
+    is p's normalized orientation, within ORIENT_SLACK of 0 for collinear, and
+    ``real(c)`` over ``|b - a|**2``, clipped to [0, 1], is the foot of p on
+    [a, b].  A crossing is proper when each segment's ends lie strictly on
+    opposite sides of the other.
+    """
+    dist, proper = np.inf, True
+    for a, b, ends in ((a1, b1, (a2, b2)), (a2, b2, (a1, b1))):
+        u = b - a
+        norm = np.abs(u)
+        side = 1.0
+        for p in ends:
+            c = np.conj(u) * (p - a)
+            d = np.imag(c) / np.maximum(norm * np.abs(p - a), 1e-300)
+            side = side * np.where(np.abs(d) <= ORIENT_SLACK, 0.0, np.sign(d))
+            # Clipped to [0, 1]; two ufuncs cost less than np.clip's wrapper.
+            foot = np.minimum(np.maximum(np.real(c) / np.maximum(norm ** 2, 1e-300), 0.0), 1.0)
+            del c, d  # before the gap's temporaries, which would raise the peak
+            dist = np.minimum(dist, np.abs(p - (a + foot * u)))
+        proper = proper & (side < 0)
+    return np.where(proper, 0.0, dist)
 
 
 def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
@@ -432,14 +450,14 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     reported alongside (1 for a simple positively-oriented image).  Scaling
     the image by a power of two scales the margin by it and changes nothing
     else.  A polyline of fewer than four vertices is degenerate (violated), and a
-    non-finite image makes the verdict inconclusive.  ``rho`` must be
-    positive; a circle outside the domain raises :class:`DomainError`.
+    non-finite image makes the verdict inconclusive.  ``n`` must be a whole
+    number of at least 64 and ``rho`` finite and positive (ValueError
+    otherwise); a circle outside the domain raises :class:`DomainError`.
     """
-    if n < 64:
-        raise ValueError("need at least 64 circle points")
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    grid = {"kind": "circle", "rho": float(rho), "n": int(n)}
+    n = _whole_count(n, 64, "need at least 64 circle points")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+    grid = {"kind": "circle", "rho": float(rho), "n": n}
     circle = rho * np.exp(2j * np.pi * np.arange(n) / n)
     vals = eval_map(f, circle)
     if (fail := _nonfinite_report("curve-simplicity", vals, circle, grid)) is not None:
@@ -458,17 +476,10 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
     # The segment test runs on the polyline times a power of two that brings
     # its radius into [0.5, 1): exact at any scale where it neither overflows
     # nor underflows, so the absolute floors below and the squares in
-    # _point_segment_distance act alike whatever the image's scale.
+    # _segment_distance act alike whatever the image's scale.
     unit = np.ldexp(1.0, -int(np.frexp(scale)[1]))
     p = vals[keep] * unit
     a, b = p, np.roll(p, -1)
-
-    def orient(u, v, w):
-        """Sign of the normalized orientation of w relative to segment u->v."""
-        s = v - u
-        t = w - u
-        d = np.imag(np.conj(s) * t) / np.maximum(np.abs(s) * np.abs(t), 1e-300)
-        return np.where(np.abs(d) <= ORIENT_SLACK, 0.0, np.sign(d))
 
     lo = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
     hi = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
@@ -485,13 +496,7 @@ def curve_simplicity(f: HarmonicMap, rho: float, n: int = 256) -> CheckReport:
             for u, w in ((i, j), (j, i)):
                 near &= np.less_equal(low[w], high[u] + reach, out=on_axis)
         i, j = (np.broadcast_to(k, near.shape)[near] for k in (i, j))
-        a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
-        proper = ((orient(a1, b1, a2) * orient(a1, b1, b2) < 0)
-                  & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0))
-        dist = _point_segment_distance(a2, a1, b1)
-        for end, u, v in ((b2, a1, b1), (a1, a2, b2), (b1, a2, b2)):
-            np.minimum(dist, _point_segment_distance(end, u, v), out=dist)
-        dist[proper] = 0.0
+        dist = _segment_distance(a[i], b[i], a[j], b[j])
         dist[np.abs(i - j) == m - 1] = np.inf  # the wrap pair is adjacent
         out.fill(np.inf)
         out[near] = dist

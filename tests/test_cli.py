@@ -633,6 +633,22 @@ def test_input_errors_exit_two(capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["check", "--named", "h0", "--criterion", "oracle", "--n", "10"],
+     "need at least 50 sample points"),
+    (["check", "--named", "h0", "--criterion", "theorem1", "--phi", "linear",
+      "--n-epsilon", "2"], "need at least 4 unimodular directions"),
+    (["check", "--named", "h0", "--criterion", "theoremA", "--n-gamma", "4"],
+     "need at least 8 rotation candidates"),
+    (["check", "--named", "h0", "--criterion", "theoremA", "--n-radial", "0"],
+     "grid needs at least one radial and one angular sample"),
+])
+def test_too_small_counts_print_one_error_line(capsys, argv, line):
+    # Every count goes through one rule for whole numbers; a count below its
+    # least still prints its own line and nothing else.
+    assert run_cli(capsys, argv) == (EXIT_INPUT, "", f"error: {line}\n")
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["check", "--named", "identity",
                  "--criterion", "nonsense"]) == EXIT_INPUT

@@ -1,5 +1,7 @@
 """Pointwise evaluator layer: values, derivatives, Wirtinger chain rule."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,12 @@ from harmonicmaps import (
     HarmonicMap,
     SingularDerivativeError,
     StructuralParams,
+    check_pairwise_bound,
+    check_theorem1,
+    check_theoremA,
     composed_wirtinger,
     constant_function,
+    curve_simplicity,
     dilatation,
     eval_map,
     from_series,
@@ -23,6 +29,7 @@ from harmonicmaps import (
     inverse_wirtinger,
     jacobian,
     linear_wirtinger,
+    sunflower_points,
 )
 from harmonicmaps.construct import A_GRID, conjugate_z_perturbation, construct, normalize
 from harmonicmaps.gallery import names as gallery_names
@@ -292,6 +299,45 @@ def test_grid_reaches_r_max_exactly(grid):
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**{"n_radial": 4, "n_angular": 8, "r_max": 0.5, **kwargs})
+
+
+def _report_text(report):
+    return json.dumps(report.to_dict())
+
+
+_F_K = gallery_get("f_k", {"k": 0.5})
+# Each count of a scan: its least, the message for a count below it, and the
+# scan's output at a count, as text in which 8.0 and 8 differ.
+COUNTS = {
+    "GridSpec": (1, "grid needs at least one radial and one angular sample",
+                 lambda n: _report_text(check_theoremA(_F_K, GridSpec(n, 8, 0.5)))),
+    "check_theorem1": (4, "need at least 4 unimodular directions",
+                       lambda n: _report_text(check_theorem1(
+                           _F_K, linear_wirtinger(2, -1), GridSpec(4, 8), n_epsilon=n))),
+    "_rotation_search": (8, "need at least 8 rotation candidates",
+                         lambda n: _report_text(check_theoremA(_F_K, GridSpec(4, 8), n_gamma=n))),
+    "curve_simplicity": (64, "need at least 64 circle points",
+                         lambda n: _report_text(curve_simplicity(_F_K, 0.5, n=n))),
+    "check_pairwise_bound": (8, "need at least 8 circle points",
+                             lambda n: _report_text(check_pairwise_bound(_F_K, 0.5, n=n))),
+    "sunflower_points": (1, "need at least one point",
+                         lambda n: sunflower_points(n, 0.5).tobytes()),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_are_whole_numbers(name):
+    # One rule for every count: a whole float is its int, and is reported as
+    # one; 4.5 directions were sampled 2pi/4.5 apart, 8.0 angles raised
+    # TypeError and 8.0 circle points IndexError.
+    least, message, scan = COUNTS[name]
+    assert scan(float(least)) == scan(least)
+    for count in (least + 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\(a whole number\), got"):
+            scan(count)
+    with pytest.raises(ValueError) as info:
+        scan(least - 1)
+    assert str(info.value) == message
 
 
 def test_domain_radius_validation():

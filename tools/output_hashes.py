@@ -9,9 +9,10 @@ of the checkout at ROOT and runs every job once with the runners of its
 ``bench/worker.py``, against the library in ``ROOT/src``.  It then runs each
 demo in ``ROOT/demos`` in a fresh directory and hashes its stdout and every
 SVG it writes.  Last it runs a few CLI calls that the benchmark does not
-make (inversion failures, inputs outside a domain, an overflowing series)
-and hashes each one's exit code, stdout and stderr, with the checkout's
-path in stderr read as ``ROOT``.  Each line reads ``<sha256>  <label>``; a
+make (inversion failures, inputs outside a domain, an overflowing series,
+curve tests at large n, near a cusp and on a crossing image) and hashes
+each one's exit code, stdout and stderr, with the checkout's path in
+stderr read as ``ROOT``.  Each line reads ``<sha256>  <label>``; a
 job that raises prints ``error`` and the exception in place of the hash,
 and the exit code is then 1.  Two checkouts give the same outputs iff their
 listings are equal, so compare them with ``diff``.
@@ -72,7 +73,9 @@ def demo_hashes(root: Path):
 
 POINT_MASS = '{"atoms": [[0.0, 1.0]]}'
 # Calls off the benchmark's paths: a grid of several blocks, Newton failures
-# near the rim, a grid outside h1's domain and a series whose h' overflows.
+# near the rim, a grid outside h1's domain, a series whose h' overflows, and
+# the oracle's curve test on 8 192 segments, near h0's cusp and on an image
+# that crosses itself (violated, margin 0).
 CLI_CALLS = {
     "herglotz koebe 160x384": ["herglotz", "--named", "koebe", "--n-radial", "160",
                                "--n-angular", "384", "--measure", POINT_MASS],
@@ -84,6 +87,13 @@ CLI_CALLS = {
                                  "--measure", POINT_MASS],
     "bound overflow": ["bound", "--spec", '{"type":"series","h":[1,1e308],"g":[0.5,1e308]}',
                        "--r", "0.5"],
+    "check oracle koebe n 16384": ["check", "--criterion", "oracle", "--named", "koebe",
+                                   "--n", "16384"],
+    "check oracle h0 rho 0.99": ["check", "--criterion", "oracle", "--named", "h0",
+                                 "--rho", "0.99", "--n", "4096"],
+    "check oracle crossing series": ["check", "--criterion", "oracle", "--spec",
+                                     '{"type":"series","h":[1.0,0.55]}',
+                                     "--rho", "0.99", "--n", "4096"],
 }
 
 
